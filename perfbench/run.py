@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -31,25 +32,18 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 
 def git_commit() -> str:
-    """The checked-out commit, read from ``.git`` without running git."""
-    head_path = os.path.join(ROOT, ".git", "HEAD")
+    """The checked-out commit, or ``unknown`` outside a git checkout."""
     try:
-        with open(head_path) as handle:
-            head = handle.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[len("ref: "):]
-        ref_path = os.path.join(ROOT, ".git", ref)
-        if os.path.exists(ref_path):
-            with open(ref_path) as handle:
-                return handle.read().strip()
-        with open(os.path.join(ROOT, ".git", "packed-refs")) as handle:
-            for line in handle:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
 def parse_args(argv):

@@ -103,9 +103,15 @@ LAYERS = [
 
 
 class Tracer:
-    """Installs span wrappers around ``LAYERS`` and aggregates per name."""
+    """Installs span wrappers around ``LAYERS`` and aggregates per name.
 
-    def __init__(self) -> None:
+    The results of calls whose span name is in ``keep`` are kept, in call
+    order, in ``kept[name]``.
+    """
+
+    def __init__(self, keep=()) -> None:
+        self.keep = frozenset(keep)
+        self.kept = defaultdict(list)
         self.stats = defaultdict(SpanStats)
         self._stack = []  # open spans: [name, seconds spent in child spans]
         self._open = defaultdict(int)
@@ -157,6 +163,8 @@ class Tracer:
                 stats = tracer._exit(frame, time.perf_counter() - start)
             if count is not None:
                 stats.items += count(args, result)
+            if span_name in tracer.keep:
+                tracer.kept[span_name].append(result)
             return result
 
         return traced

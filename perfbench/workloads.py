@@ -4,9 +4,9 @@ Each workload function takes ``(seed, seconds, trace, workdir)`` and
 returns a :class:`Outcome`.  A workload repeats its timed *unit* until
 ``seconds`` have passed (at least ``MIN_UNITS`` times) and reports medians,
 so one slow repeat cannot move a number.  With ``trace`` the units
-alternate untraced and traced: end-to-end numbers and the tracing
-overhead come from comparing the two, per-layer numbers from the traced
-units only.
+alternate untraced and traced (at least ``TRACE_PAIRS`` pairs): the
+tracing overhead is the median ratio over adjacent pairs, per-layer
+numbers come from the traced units only.
 
 All clocks are the benchmark's own ``time.perf_counter`` pairs around
 public calls; nothing reads the program's internal timers or metrics.
@@ -15,6 +15,7 @@ public calls; nothing reads the program's internal timers or metrics.
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import shutil
 import time
@@ -25,7 +26,6 @@ import numpy as np
 from repro.models.context import build_context_bundle
 from repro.pipeline import Splash
 from repro.serving import PredictionService, ServingConfig, serve
-from repro.serving.store import IncrementalContextStore
 from repro.tasks.base import QuerySet
 
 from inputs import (
@@ -40,20 +40,26 @@ from inputs import (
 )
 from tracer import Tracer
 
-# Set-up takes ~0.1 ms in fit and stream, so it is repeated many times;
-# the durable live set-up writes an artifact, so fewer times.
-SETUP_REPEATS = 101
-LIVE_SETUP_REPEATS = 11
+# One set-up takes 15-70 us on fit and stream and ~5 ms on live, too short
+# for one timer pair on a box whose speed swings from second to second.
+# So set-up is timed in blocks of at least SETUP_BLOCK_S, each divided by
+# its count, and SETUP_BLOCKS_PER_UNIT blocks are taken before every unit:
+# the reported median samples the whole run, as the units do.
+SETUP_BLOCK_S = 0.03
+SETUP_BLOCKS_PER_UNIT = 5
 MIN_UNITS = 3
+TRACE_PAIRS = 3
 
 # fit: Email-EU stand-in at 50k edges (~30k queries): ~6-9 s per fit on a
 # shared 2-CPU box, so a 20 s run takes a median over 3-4 fits.
 FIT_EDGES = 50_000
 FIT_ORACLE_EDGES = 5_000  # prefix replayed by the engine="event" oracle
 FIT_MIN_TEST_SCORE = 0.9  # weighted F1; the seed commit scores ~0.96-0.98
-# Test-phase micro-batch: small enough for ~1,500 scoring calls per fit,
-# so the p99 rests on more than a handful of calls.
+# Test phase: the ~24k held-out queries in micro-batches of 32 (~750
+# sub-millisecond calls), scored TEST_PASSES times per fit.  The latency
+# percentiles pool every call of the run, so the p99 rests on ~70 calls.
 TEST_BATCH = 32
+TEST_PASSES = 3
 
 BUNDLE_FIELDS = (
     "neighbor_nodes",
@@ -68,9 +74,12 @@ BUNDLE_FIELDS = (
 )
 FEATURE_GROUPS = ("target_features", "neighbor_features")
 
-# stream: the ROADMAP reference interleave.
-STREAM_EDGES = 120_000
-STREAM_QUERIES = 6_000
+# stream: the ROADMAP reference interleave (~21 edges and ~1 query per
+# block), cut from 120k to 40k edges so that a replay takes ~2 s and a 20 s
+# run takes its median over ~9 replays: the box's speed swings by up to a
+# third within seconds, and the median of 3 long replays kept that noise.
+STREAM_EDGES = 40_000
+STREAM_QUERIES = 2_000
 STREAM_CHECK_EDGES = 12_000  # prefix whose materialised contexts are compared
 SCORE_RTOL = 1e-9
 SCORE_ATOL = 1e-12
@@ -87,7 +96,7 @@ LIVE_SNAPSHOTS = 5.5  # snapshots per run: the resume tail is ~half a cadence
 LIVE_SEED_OFFSET = 1_000_003
 LIVE_PROBES = 256
 LIVE_WINDOWS = 4
-RESUME_REPEATS = 9
+RESUME_REPEATS = 15
 
 
 @dataclass
@@ -140,24 +149,54 @@ def _settle():
     gc.collect()
 
 
-def _units(seconds, trace):
-    """Yield (index, traced) until the budget is spent (>= MIN_UNITS)."""
+class _SetupClock:
+    """Seconds per ``set_up()`` call, timed in blocks (see SETUP_BLOCK_S).
+
+    ``tear_down`` receives a block's results after its clock has stopped.
+    """
+
+    def __init__(self, set_up, tear_down=None):
+        self.set_up = set_up
+        self.tear_down = tear_down
+        self.per_call = []
+
+    def blocks(self, count=SETUP_BLOCKS_PER_UNIT):
+        for _ in range(count):
+            results = []
+            start = time.perf_counter()
+            while True:
+                results.append(self.set_up())
+                elapsed = time.perf_counter() - start
+                if elapsed >= SETUP_BLOCK_S:
+                    break
+            self.per_call.append(elapsed / len(results))
+            if self.tear_down is not None:
+                self.tear_down(results)
+
+    def median(self):
+        return float(np.median(self.per_call))
+
+
+def _units(seconds, trace, setup_clock):
+    """Yield (index, traced) until the budget is spent.
+
+    At least ``MIN_UNITS`` units run, or ``TRACE_PAIRS`` untraced/traced
+    pairs with ``trace``.  Set-up blocks are taken before every unit.
+    """
+    least = 2 * TRACE_PAIRS if trace else MIN_UNITS
     start = time.perf_counter()
     index = 0
-    while index < MIN_UNITS or time.perf_counter() - start < seconds:
+    while index < least or time.perf_counter() - start < seconds:
+        setup_clock.blocks()
         _settle()
         yield index, bool(trace) and index % 2 == 1
         index += 1
 
 
-def _setup_seconds(set_up, repeats=SETUP_REPEATS):
-    """Median wall-clock of ``repeats`` calls of ``set_up``."""
-    seconds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        set_up()
-        seconds.append(time.perf_counter() - start)
-    return float(np.median(seconds))
+def _overhead(seconds):
+    """Median traced/untraced ratio over adjacent unit pairs."""
+    pairs = len(seconds[True])
+    return float(np.median(np.divide(seconds[True], seconds[False][:pairs])))
 
 
 def _bundle_rows(bundle, hi):
@@ -331,18 +370,17 @@ def run_fit(seed, seconds, trace, workdir):
         Splash(splash_config())
         dataset.split()
 
-    setup = _setup_seconds(set_up)
-
+    setup = _SetupClock(set_up)
     tracer = Tracer()
     fit_s = {False: [], True: []}
-    latency_groups = []
+    latencies, weights = [], []
     attempted = failed = 0
     notes = []
     oracle = None
     reference_scores = None
     test_score = None
     selected = None
-    for _, traced in _units(seconds, trace):
+    for _, traced in _units(seconds, trace, setup):
         attempted += 1
         splash = Splash(splash_config())
         split = dataset.split()
@@ -355,17 +393,21 @@ def run_fit(seed, seconds, trace, workdir):
         fit_s[traced].append(time.perf_counter() - start)
 
         # The paper's test phase: score the held-out queries in micro-batches.
-        scores, unit_latencies, unit_weights = [], [], []
-        for lo in range(0, len(split.test_idx), TEST_BATCH):
-            chunk = split.test_idx[lo : lo + TEST_BATCH]
-            start = time.perf_counter()
-            scores.append(splash.predict_scores(chunk))
-            unit_latencies.append(time.perf_counter() - start)
-            unit_weights.append(len(chunk))
-        latency_groups.append((unit_latencies, unit_weights))
-        scores = np.concatenate(scores)
+        passes = []
+        for _ in range(TEST_PASSES):
+            scores = []
+            for lo in range(0, len(split.test_idx), TEST_BATCH):
+                chunk = split.test_idx[lo : lo + TEST_BATCH]
+                start = time.perf_counter()
+                scores.append(splash.predict_scores(chunk))
+                latencies.append(time.perf_counter() - start)
+                weights.append(len(chunk))
+            passes.append(np.concatenate(scores))
+        scores = passes[0]
 
         problems = []
+        if not all(np.array_equal(again, scores) for again in passes[1:]):
+            problems.append("a repeated test pass scored differently")
         selected = splash.selected_process
         if selected != "positional":
             problems.append(f"selected {selected!r}, not 'positional'")
@@ -396,11 +438,11 @@ def run_fit(seed, seconds, trace, workdir):
         if problems:
             failed += 1
             notes.extend(problems)
-        splash = scores = None  # the next unit starts without this one's bundle
+        splash = scores = passes = None  # the next unit starts without them
 
-    p50, p99 = _ms_percentiles(latency_groups)
+    p50, p99 = _ms_percentiles([(latencies, weights)])
     metrics = {
-        "setup_s": setup,
+        "setup_s": setup.median(),
         "peak_rss_mb": _peak_rss_mb(),
         "job_s": float(np.median(fit_s[False])),
         "query_p50_ms": p50,
@@ -413,15 +455,14 @@ def run_fit(seed, seconds, trace, workdir):
             len(fit_s[True]),
             **{
                 "fit.test_score": test_score,
-                "trace.overhead_frac": float(
-                    np.median(fit_s[True]) / np.median(fit_s[False])
-                ),
+                "trace.overhead_frac": _overhead(fit_s),
             },
         )
     notes.append(
         f"fit: {len(dataset.ctdg.src)} edges, {len(dataset.queries)} queries, "
-        f"selected {selected}, test F1 {test_score:.4f}; fit seconds "
-        f"untraced {_rounded(fit_s[False])} traced {_rounded(fit_s[True])}"
+        f"selected {selected}, test F1 {test_score:.4f}; {len(latencies)} "
+        f"test-phase calls; fit seconds untraced {_rounded(fit_s[False])} "
+        f"traced {_rounded(fit_s[True])}"
     )
     return Outcome(metrics, layers, attempted, failed, notes)
 
@@ -442,40 +483,21 @@ class _Stamps:
         return logits
 
 
-def _capture_materialise(service, ctdg, nodes, times):
-    """Replay through ``service`` keeping every materialised bundle."""
-    captured = []
-    original = IncrementalContextStore.materialise
-
-    def keep(store, *args, **kwargs):
-        bundle = original(store, *args, **kwargs)
-        captured.append(bundle)
-        return bundle
-
-    IncrementalContextStore.materialise = keep
-    try:
-        service.serve_stream(ctdg, nodes, times, background=False)
-    finally:
-        IncrementalContextStore.materialise = original
-    return captured
-
-
 def run_stream(seed, seconds, trace, workdir):
     ctdg, q_nodes, q_times = uniform_traffic(STREAM_EDGES, STREAM_QUERIES, seed)
     splash = servable_splash(ctdg)
     config = ServingConfig(micro_batch_size=MICRO_BATCH)
 
-    setup = _setup_seconds(
+    setup = _SetupClock(
         lambda: PredictionService.from_splash(
             splash, NUM_NODES, EDGE_FEATURE_DIM, config=config
         )
     )
-
     tracer = Tracer()
     stream_s = {False: [], True: []}
     latency_groups = []
     outputs = []
-    for _, traced in _units(seconds, trace):
+    for _, traced in _units(seconds, trace, setup):
         stamps = _Stamps()
         service = PredictionService.from_splash(
             splash, NUM_NODES, EDGE_FEATURE_DIM, config=config, scores_fn=stamps
@@ -512,9 +534,12 @@ def run_stream(seed, seconds, trace, workdir):
     checker = PredictionService.from_splash(
         splash, NUM_NODES, EDGE_FEATURE_DIM, config=config
     )
-    bundles = _capture_materialise(
-        checker, ctdg.slice(0, cut), q_nodes[:sample], q_times[:sample]
-    )
+    capture = Tracer(keep=("store.materialise",))
+    with capture.installed():
+        checker.serve_stream(
+            ctdg.slice(0, cut), q_nodes[:sample], q_times[:sample], background=False
+        )
+    bundles = capture.kept["store.materialise"]
     notes = []
     if not _bundle_rows_equal(_concat_bundles(bundles), offline, 0, sample):
         bad[:sample] = True
@@ -524,7 +549,7 @@ def run_stream(seed, seconds, trace, workdir):
 
     p50, p99 = _ms_percentiles(latency_groups)
     metrics = {
-        "setup_s": setup,
+        "setup_s": setup.median(),
         "peak_rss_mb": _peak_rss_mb(),
         "job_s": float(np.median(stream_s[False])),
         "query_p50_ms": p50,
@@ -535,11 +560,7 @@ def run_stream(seed, seconds, trace, workdir):
         layers = traced_layers(
             tracer,
             len(stream_s[True]),
-            **{
-                "trace.overhead_frac": float(
-                    np.median(stream_s[True]) / np.median(stream_s[False])
-                )
-            },
+            **{"trace.overhead_frac": _overhead(stream_s)},
         )
     notes.append(
         f"stream: {STREAM_EDGES} edges, {STREAM_QUERIES} queries; replay seconds "
@@ -558,6 +579,7 @@ class _LiveRun:
     query_wait: np.ndarray
     ingest_latency: np.ndarray
     busy_s: float
+    window_busy_s: np.ndarray  # service busy seconds per LIVE_WINDOWS window
     backlog_max: int
     final_lag_s: float
     unanswered: int
@@ -582,11 +604,10 @@ def _open_loop(client, ctdg, q_nodes, q_times, tracer=None):
     query_start = np.full(num_queries, np.nan)
     query_done = np.full(num_queries, np.nan)
     span = tracer.span if tracer is not None else None
-    busy = 0.0
+    call_begin, call_end = [], []
     backlog_max = 0
 
     def call(function, *args):
-        nonlocal busy
         begin = time.perf_counter()
         if span is None:
             function(*args)
@@ -594,7 +615,8 @@ def _open_loop(client, ctdg, q_nodes, q_times, tracer=None):
             with span("service"):
                 function(*args)
         end = time.perf_counter()
-        busy += end - begin
+        call_begin.append(begin - t0)
+        call_end.append(end - t0)
         return begin - t0, end - t0
 
     def ingest(lo, hi):
@@ -644,6 +666,10 @@ def _open_loop(client, ctdg, q_nodes, q_times, tracer=None):
             edge_next = edges_due
     finished = time.perf_counter() - t0
     last_due = max(edge_due[-1], query_due[-1] if num_queries else 0.0)
+    call_begin, call_end = np.asarray(call_begin), np.asarray(call_end)
+    window = np.minimum(
+        (call_begin / last_due * LIVE_WINDOWS).astype(np.int64), LIVE_WINDOWS - 1
+    )
 
     probe_nodes = np.linspace(0, NUM_NODES - 1, LIVE_PROBES).astype(np.int64)
     probe_scores = client.predict(probe_nodes, np.full(LIVE_PROBES, ctdg.times[-1]))
@@ -652,7 +678,10 @@ def _open_loop(client, ctdg, q_nodes, q_times, tracer=None):
         query_latency=query_done - query_due,
         query_wait=query_start - query_due,
         ingest_latency=edge_done - edge_due,
-        busy_s=busy,
+        busy_s=float((call_end - call_begin).sum()),
+        window_busy_s=np.bincount(
+            window, weights=call_end - call_begin, minlength=LIVE_WINDOWS
+        ),
         backlog_max=backlog_max,
         final_lag_s=finished - last_due,
         unanswered=int(np.isnan(query_done).sum()),
@@ -668,16 +697,44 @@ def _live_config(root, num_edges):
     )
 
 
-def _resume_all(root, expected_edges, probe_scores, probe_time, tracer=None):
+def _live_serve(splash, root, num_edges):
+    return serve(
+        splash,
+        _live_config(root, num_edges),
+        num_nodes=NUM_NODES,
+        edge_feature_dim=EDGE_FEATURE_DIM,
+    )
+
+
+def _live_setup_clock(splash, workdir, num_edges):
+    """Durable ``serve()`` set-ups, each on a fresh root removed afterwards."""
+    roots = itertools.count()
+
+    def set_up():
+        root = os.path.join(workdir, f"setup-{next(roots)}")
+        return root, _live_serve(splash, root, num_edges)
+
+    def tear_down(results):
+        for root, client in results:
+            client.shutdown()
+            shutil.rmtree(root)
+
+    return _SetupClock(set_up, tear_down)
+
+
+def _resume_all(root, expected_edges, probe_scores, probe_time, tracer, setup):
     """Resume ``RESUME_REPEATS`` times; returns (seconds list, failures).
 
     Each resumed service must hold every edge and answer the probe queries
-    bit for bit as the service did before shutdown.
+    bit for bit as the service did before shutdown.  A set-up block (when
+    ``setup`` is given) runs before each resume.
     """
     probe_nodes = np.linspace(0, NUM_NODES - 1, LIVE_PROBES).astype(np.int64)
     seconds, failures = [], []
     for _ in range(RESUME_REPEATS):
         service = None  # a restart starts from an empty process heap
+        if setup is not None:
+            setup.blocks(1)
         _settle()
         start = time.perf_counter()
         if tracer is not None:
@@ -704,26 +761,9 @@ def _resume_all(root, expected_edges, probe_scores, probe_time, tracer=None):
     return seconds, failures
 
 
-def _live_unit(ctdg, q_nodes, q_times, splash, workdir, name, tracer=None):
-    """Set up a durable service, run the open loop, shut down, resume."""
-    setup = []
-    clients = []
-    for attempt in range(LIVE_SETUP_REPEATS):
-        root = os.path.join(workdir, f"{name}-{attempt}")
-        start = time.perf_counter()
-        clients.append(
-            serve(
-                splash,
-                _live_config(root, len(ctdg.src)),
-                num_nodes=NUM_NODES,
-                edge_feature_dim=EDGE_FEATURE_DIM,
-            )
-        )
-        setup.append(time.perf_counter() - start)
-    for client in clients[:-1]:
-        client.shutdown()
-    client = clients[-1]
-    clients = None
+def _live_unit(ctdg, q_nodes, q_times, splash, root, tracer=None, setup=None):
+    """Run the open loop on a durable service, shut down, resume."""
+    client = _live_serve(splash, root, len(ctdg.src))
     _settle()
     if tracer is not None:
         with tracer.installed():
@@ -734,9 +774,9 @@ def _live_unit(ctdg, q_nodes, q_times, splash, workdir, name, tracer=None):
         client.shutdown()
     client = None
     resume_s, failures = _resume_all(
-        root, len(ctdg.src), run.probe_scores, ctdg.times[-1], tracer
+        root, len(ctdg.src), run.probe_scores, ctdg.times[-1], tracer, setup
     )
-    return setup, run, resume_s, failures
+    return run, resume_s, failures
 
 
 def run_live(seed, seconds, trace, workdir):
@@ -746,8 +786,15 @@ def run_live(seed, seconds, trace, workdir):
     )
     splash = servable_splash(ctdg)
 
-    setup, run, resume_s, failures = _live_unit(
-        ctdg, q_nodes, q_times, splash, workdir, "untraced"
+    setup = _live_setup_clock(splash, workdir, num_edges)
+    setup.blocks()
+    run, resume_s, failures = _live_unit(
+        ctdg,
+        q_nodes,
+        q_times,
+        splash,
+        os.path.join(workdir, "untraced"),
+        setup=setup,
     )
     notes = list(failures)
     if run.unanswered:
@@ -766,7 +813,7 @@ def run_live(seed, seconds, trace, workdir):
         for w in range(LIVE_WINDOWS)
     )
     metrics = {
-        "setup_s": float(np.median(setup)),
+        "setup_s": setup.median(),
         "peak_rss_mb": _peak_rss_mb(),
         "job_s": float(np.median(resume_s)),
         "query_p50_ms": p50,
@@ -775,12 +822,20 @@ def run_live(seed, seconds, trace, workdir):
     layers = {}
     if trace:
         tracer = Tracer()
-        _, traced_run, traced_resume, traced_failures = _live_unit(
-            ctdg, q_nodes, q_times, splash, workdir, "traced", tracer
+        traced_run, traced_resume, traced_failures = _live_unit(
+            ctdg, q_nodes, q_times, splash, os.path.join(workdir, "traced"), tracer
         )
         failed += traced_run.unanswered + len(traced_failures)
         attempted += len(q_nodes) + RESUME_REPEATS
         notes.extend(traced_failures)
+        # The same work traced and untraced: each window of the open loop
+        # (same arrivals) and each resume of the same root.
+        ratios = np.concatenate(
+            [
+                traced_run.window_busy_s / run.window_busy_s,
+                np.divide(traced_resume, resume_s),
+            ]
+        )
         layers = traced_layers(
             tracer,
             1,
@@ -794,10 +849,7 @@ def run_live(seed, seconds, trace, workdir):
                 * 1000,
                 "live.backlog_max": float(run.backlog_max),
                 "live.final_lag_s": run.final_lag_s,
-                "trace.overhead_frac": (
-                    traced_run.busy_s + float(np.median(traced_resume))
-                )
-                / (run.busy_s + float(np.median(resume_s))),
+                "trace.overhead_frac": float(np.median(ratios)),
             }
         )
     notes.append(
