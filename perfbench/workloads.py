@@ -111,10 +111,10 @@ class Outcome:
 def _ms_percentiles(groups):
     """Median over ``groups`` of each group's per-query p50 and p99 (ms).
 
-    A group is one unit (or one live window) as ``(latencies_s, weights)``;
-    a call's latency counts once per query it answered.  Taking the
-    percentiles per group and then the median keeps one burst of
-    interference from a co-tenant out of the reported tail.
+    A group is one replay, one live window or a whole fit run, as
+    ``(latencies_s, weights)``; a call's latency counts once per query it
+    answered.  Taking the percentiles per group and then the median keeps
+    one burst of interference from a co-tenant out of the reported tail.
     """
     p50s, p99s = [], []
     for latencies, weights in groups:
