@@ -128,7 +128,9 @@ class OnlineFeatureStore(ABC):
         The contract mirrors ``on_edge_block``'s: restoring the exported
         arrays into a fresh store (built by the same fitted process) via
         :meth:`restore_runtime_state` must reproduce the original store's
-        observable behaviour bit for bit.
+        observable behaviour bit for bit.  Return copies, never views of
+        live state: the serving layer writes them to disk after releasing
+        the lock that keeps ingest out.
 
         There is no safe default — a store with unexported mutable state
         would silently resume wrong — so stores must opt in explicitly.

@@ -256,16 +256,19 @@ class PropagatedFeatureStore(OnlineFeatureStore):
     def export_runtime_state(self) -> Dict[str, np.ndarray]:
         """Dense working table + propagation degrees + overflow spill.
 
-        The dense blocks are returned as-is (no copy): they are already
-        contiguous, so persisting a snapshot is a straight ``np.save`` of
-        each — the near-free snapshot the warm-restart design relies on.
-        ``current`` is absent while the store is still in its pre-first-
-        unseen-touch state (the fitted table alone describes it).
+        The dense blocks are returned as copies: the caller persists them
+        after the serving store's lock is released, and a view would let
+        a concurrent ingest write edges past the cut into the snapshot.
+        Both are contiguous, so the copy is one memcpy each (~2 MB, about
+        a millisecond, at 8,192 × 32) and persisting is a straight
+        ``np.save``.  ``current`` is absent while the store is still in
+        its pre-first-unseen-touch state (the fitted table alone
+        describes it).
         """
         state: Dict[str, np.ndarray] = {}
         if self._current is not None:
-            state["current"] = self._current
-            state["prop_degrees"] = self._degrees
+            state["current"] = self._current.copy()
+            state["prop_degrees"] = self._degrees.copy()
         if self._overflow_feat:
             nodes = sorted(self._overflow_feat)
             state["overflow_nodes"] = np.array(nodes, dtype=np.int64)

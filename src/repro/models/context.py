@@ -71,7 +71,6 @@ from repro.nn.backend import active_backend
 from repro.features.structural import StructuralFeatureProcess, degree_encoding
 from repro.streams.ctdg import CTDG
 from repro.streams.degrees import DegreeTracker
-from repro.streams.neighbors import NeighborEntry, RecentNeighborBuffer
 from repro.streams.replay import (
     endpoint_shard,
     interleave_cuts,
@@ -89,6 +88,9 @@ from repro.tasks.base import QuerySet
 # runs; measured crossover ~8 on the email-eu-like stream).  Shared by the
 # offline collectors and the serving ingest.
 _MIN_VECTOR_RUN = 8
+
+# The head/count vectors of an unallocated ring (never written in place).
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -257,12 +259,289 @@ class _QueryOutputs:
         }
 
 
+class NeighborRing:
+    """Dense k-recent neighbour tables: the N_i(t) of Eq. 6 for every node.
+
+    Row ``r`` keeps node ``r``'s last ≤ k incident edges in ``k`` slots
+    used as a ring: ``head[r]`` is the slot the next edge takes and
+    ``count[r]`` how many slots are filled, so the node's entries, oldest
+    to newest, sit in slots ``(head - count + j) % k`` for ``j < count``.
+    A slot holds the neighbour id, the edge's time, stream index and
+    weight, the neighbour's degree after the edge, the edge's features
+    and, per online feature store, the neighbour's feature vector after
+    the edge (the x_j(t(l)) of Eq. 14).  Writes go to the tables in place
+    and entries never move, so reading a node's entries is one gather per
+    table over :meth:`entry_ids`.
+
+    Rows ``[0, num_nodes)`` are the node ids themselves; any other id (raw
+    serving ingest may send one) gets the next row past ``num_nodes`` on
+    its first write.  The tables are allocated on the first write or
+    restore, so an untouched ring costs nothing, and their size is the
+    paper's O(|V| · k) summary bound however long the stream.
+    """
+
+    # Per-slot scalar columns, named by the snapshot layout's
+    # ``buffer::<name>`` keys.
+    _COLUMNS = (
+        ("neighbor", np.int64),
+        ("time", np.float64),
+        ("edge_index", np.int64),
+        ("weight", np.float64),
+        ("neighbor_degree", np.int64),
+    )
+
+    def __init__(
+        self,
+        k: int,
+        num_nodes: int,
+        edge_feature_dim: int = 0,
+        snapshot_dims: Sequence[int] = (),
+    ) -> None:
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        self.k = int(k)
+        self.num_nodes = int(num_nodes)
+        self.edge_feature_dim = int(edge_feature_dim)
+        self.snapshot_dims = tuple(snapshot_dims)
+        self._clear()
+
+    def _clear(self) -> None:
+        # One table per column, one table row per slot: slot ``j`` of ring
+        # row ``r`` is table row ``r * k + j``.
+        self.tables: Dict[str, np.ndarray] = {}
+        self.head = self.count = _NO_ROWS
+        # The snapshot tables, one per online store, in store order.
+        self.snapshot_tables: List[np.ndarray] = []
+        self._extra: Dict[int, int] = {}  # out-of-range node id -> row
+
+    def _specs(self):
+        """``(key, trailing shape, dtype)`` of every table."""
+        for name, dtype in self._COLUMNS:
+            yield name, (), dtype
+        if self.edge_feature_dim:
+            yield "edge_features", (self.edge_feature_dim,), np.float64
+        for position, dim in enumerate(self.snapshot_dims):
+            yield f"snap{position:02d}", (dim,), np.float64
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the tables to at least ``rows`` rows (the first call
+        allocates ``num_nodes``; rows past it grow geometrically)."""
+        old = len(self.head)
+        if rows <= old:
+            return
+        if not old:
+            # _rotations[s] lists the k slots in ring order from slot s.
+            slots = np.arange(self.k)
+            self._rotations = (slots[:, None] + slots) % self.k
+        rows = max(rows, self.num_nodes, 2 * old - self.num_nodes)
+        tables = {}
+        for key, trail, dtype in self._specs():
+            table = np.zeros((rows * self.k,) + trail, dtype)
+            if old:
+                table[: old * self.k] = self.tables[key]
+            tables[key] = table
+        self.tables = tables
+        self.snapshot_tables = [
+            table for key, table in tables.items() if key.startswith("snap")
+        ]
+        for name in ("head", "count"):
+            grown = np.zeros(rows, dtype=np.int64)
+            grown[:old] = getattr(self, name)
+            setattr(self, name, grown)
+
+    def _row(self, node: int) -> int:
+        """Row of ``node``, created on its first write."""
+        if 0 <= node < self.num_nodes:
+            row = node
+        else:
+            row = self._extra.get(node)
+            if row is None:
+                row = self._extra[node] = self.num_nodes + len(self._extra)
+        if row >= len(self.head):
+            self._reserve(row + 1)
+        return row
+
+    def _rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`_row`."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        inside = (nodes >= 0) & (nodes < self.num_nodes)
+        if inside.all():
+            rows = nodes
+        else:
+            rows = nodes.copy()
+            for position in np.flatnonzero(~inside).tolist():
+                rows[position] = self._row(int(nodes[position]))
+        self._reserve(self.num_nodes)
+        return rows
+
+    def entry_ids(self, node: int) -> np.ndarray:
+        """Table rows of ``node``'s entries, oldest first (none if the
+        node was never written)."""
+        row = node if 0 <= node < self.num_nodes else self._extra.get(node, -1)
+        if not 0 <= row < len(self.head):
+            return _NO_ROWS
+        count = int(self.count[row])
+        oldest = (int(self.head[row]) - count) % self.k
+        return self._rotations[oldest, :count] + row * self.k
+
+    # ------------------------------------------------------------------
+    def push(
+        self,
+        node: int,
+        neighbor: int,
+        time: float,
+        edge_index: int,
+        weight: float,
+        neighbor_degree: int,
+        feature: Optional[np.ndarray],
+        snapshots: Sequence[np.ndarray],
+    ) -> None:
+        """Record one incident edge as ``node``'s newest entry."""
+        row = self._row(node)
+        slot = int(self.head[row])
+        at = row * self.k + slot
+        tables = self.tables
+        tables["neighbor"][at] = neighbor
+        tables["time"][at] = time
+        tables["edge_index"][at] = edge_index
+        tables["weight"][at] = weight
+        tables["neighbor_degree"][at] = neighbor_degree
+        if self.edge_feature_dim:
+            tables["edge_features"][at] = feature
+        for table, snapshot in zip(self.snapshot_tables, snapshots):
+            table[at] = snapshot
+        self.head[row] = (slot + 1) % self.k
+        count = int(self.count[row])
+        if count < self.k:
+            self.count[row] = count + 1
+
+    def push_block(
+        self,
+        nodes: np.ndarray,
+        neighbors: np.ndarray,
+        times: np.ndarray,
+        edge_indices: np.ndarray,
+        weights: np.ndarray,
+        neighbor_degrees: np.ndarray,
+        features: Optional[np.ndarray],
+        snapshots: Sequence[np.ndarray],
+    ) -> None:
+        """:meth:`push` of every element in order, as one scatter per table.
+
+        Distinct elements must name distinct nodes, except that a node may
+        fill two *adjacent* elements — a self-loop's two entries, which
+        take two consecutive slots.  An endpoint-disjoint run
+        (:func:`repro.streams.replay.plan_update_blocks`) laid out one
+        edge after another, source side first, satisfies this.
+        """
+        if not len(nodes):
+            return
+        rows = self._rows(nodes)
+        twin = rows[1:] == rows[:-1]
+        second = np.concatenate([[False], twin])  # a self-loop's second entry
+        last = ~np.concatenate([twin, [False]])  # each row's last element
+        slots = (self.head[rows] + second) % self.k
+        at = rows * self.k + slots
+        tables = self.tables
+        tables["neighbor"][at] = neighbors
+        tables["time"][at] = times
+        tables["edge_index"][at] = edge_indices
+        tables["weight"][at] = weights
+        tables["neighbor_degree"][at] = neighbor_degrees
+        if self.edge_feature_dim:
+            tables["edge_features"][at] = features
+        for table, snapshot in zip(self.snapshot_tables, snapshots):
+            table[at] = snapshot
+        rows, slots, added = rows[last], slots[last], 1 + second[last]
+        self.head[rows] = (slots + 1) % self.k
+        self.count[rows] = np.minimum(self.count[rows] + added, self.k)
+
+    # ------------------------------------------------------------------
+    # Persistence (serving snapshots, repro.serving.persistence)
+    # ------------------------------------------------------------------
+    def export_arrays(self) -> Dict[str, np.ndarray]:
+        """Every entry as one column per table, in the snapshot layout.
+
+        Entries are grouped by node (ascending id), oldest to newest within
+        a node — the layout :meth:`restore_arrays` inverts.  Only
+        ``entry_node`` is present while the ring holds no entry.  The
+        columns are gathered copies, never views of the live tables.
+        """
+        if not len(self.head):
+            return {"entry_node": np.zeros(0, dtype=np.int64)}
+        live = np.flatnonzero(self.count)
+        node_of = np.arange(len(self.head), dtype=np.int64)
+        if self._extra:
+            node_of[list(self._extra.values())] = list(self._extra)
+            live = live[np.argsort(node_of[live], kind="stable")]
+        count = self.count[live]
+        ids = self._rotations[(self.head[live] - count) % self.k]
+        ids = (ids + (live * self.k)[:, None])[np.arange(self.k) < count[:, None]]
+        arrays = {"entry_node": np.repeat(node_of[live], count)}
+        if len(ids):
+            for key, table in self.tables.items():
+                arrays[key] = table[ids]
+        return arrays
+
+    def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Inverse of :meth:`export_arrays`; replaces the ring's contents.
+
+        Raises ``ValueError``, leaving the ring untouched, for a block it
+        cannot scatter: columns of unequal length or unexpected width, a
+        decreasing ``entry_node``, or more than k entries for one node.
+        """
+        if "entry_node" not in arrays:
+            raise ValueError("neighbour buffer block has no entry_node column")
+        nodes = np.asarray(arrays["entry_node"], dtype=np.int64)
+        count = len(nodes)
+        expected = {key: (count,) + trail for key, trail, _ in self._specs()}
+        for key, column in arrays.items():
+            shape = np.shape(column)
+            if key == "entry_node" or (
+                key == "edge_features"
+                and not self.edge_feature_dim
+                and not np.size(column)
+            ):
+                continue  # entries with (n, 0) features from a featureless store
+            if key not in expected:
+                raise ValueError(f"unexpected neighbour buffer column {key!r}")
+            if shape != expected[key]:
+                raise ValueError(
+                    f"neighbour buffer column {key!r} has shape {shape}, "
+                    f"expected {expected[key]}"
+                )
+        if count:
+            missing = sorted(set(expected) - set(arrays) - {"edge_features"})
+            if missing:
+                raise ValueError(f"neighbour buffer block is missing {missing}")
+            if np.any(nodes[1:] < nodes[:-1]):
+                raise ValueError("neighbour buffer entry_node must be non-decreasing")
+            starts = np.flatnonzero(np.concatenate([[True], nodes[1:] != nodes[:-1]]))
+            counts = np.diff(np.append(starts, count))
+            if counts.max() > self.k:
+                worst = int(np.argmax(counts))
+                raise ValueError(
+                    f"node {int(nodes[starts[worst]])} has {int(counts[worst])} "
+                    f"buffered entries, more than k={self.k}"
+                )
+        self._clear()
+        if not count:
+            return
+        rows = self._rows(nodes)
+        ids = rows * self.k + np.arange(count) - np.repeat(starts, counts)
+        for key, table in self.tables.items():
+            if key in arrays:
+                table[ids] = arrays[key]
+        self.count[rows[starts]] = counts
+        self.head[rows[starts]] = counts % self.k
+
+
 class ReplayState:
     """The online state of a chronological replay, and its update rules.
 
     One edge advances degrees (Eq. 2), the feature stores (Eqs. 4-5), and
-    the k-recent neighbour buffers (Eq. 6) — in that order, so snapshots
-    taken after the update are *inclusive* of the edge.  One query reads a
+    the k-recent neighbour ring (Eq. 6) — in that order, so snapshots
+    taken after the update are *inclusive* of the edge.  A query reads a
     row of context from that state.  This is the single state-update core
     shared by the per-event offline collector (:class:`_BundleCollector`)
     and the serving layer's live store
@@ -274,24 +553,28 @@ class ReplayState:
         self,
         k: int,
         stores: Dict[str, OnlineFeatureStore],
+        num_nodes: int,
+        edge_feature_dim: int = 0,
         owner: Optional[Tuple[int, int]] = None,
         owner_mask: Optional[np.ndarray] = None,
     ) -> None:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
         self.k = k
         self.stores = stores
         self.store_names = sorted(stores)
-        self.buffer = RecentNeighborBuffer(k)
+        self.ring = NeighborRing(
+            k,
+            num_nodes,
+            edge_feature_dim,
+            [stores[name].dim for name in self.store_names],
+        )
         self.degrees = DegreeTracker()
         # Fleet sharding (repro.serving.fleet): with an owner spec, the
         # *global* state — degrees and feature-store propagation, which any
         # node's context may transitively depend on — still advances past
-        # every edge, but the per-endpoint context assembly (snapshot
-        # copies + k-recent buffer inserts, the dominant ingest cost) runs
-        # only for endpoints this shard owns.  Owned nodes' contexts stay
-        # bit-for-bit what an unpartitioned replay produces; non-owned
-        # nodes simply have no buffer here.
+        # every edge, but the per-endpoint context assembly (snapshot reads
+        # and ring writes) runs only for endpoints this shard owns.  Owned
+        # nodes' contexts stay bit-for-bit what an unpartitioned replay
+        # produces; non-owned nodes' ring rows stay empty here.
         self.owner = owner
         self._owner_mask = owner_mask
 
@@ -333,47 +616,24 @@ class ReplayState:
         # Degree and feature state become *inclusive* of this edge before
         # snapshotting (deg_i(t) counts edges with t(l) ≤ t, Eq. 2).
         self.degrees.observe_edge(src, dst)
-        for name in self.store_names:
-            self.stores[name].on_edge(index, src, dst, time, feature, weight)
-        # The entry buffered for an endpoint snapshots the *other*
-        # endpoint's state, so each snapshot is needed exactly when the
-        # node it will be buffered under is owned.
-        own_src = self.owner is None or self.owns(src)
-        own_dst = self.owner is None or self.owns(dst)
-        if own_src:
-            dst_snap = tuple(
-                self.stores[name].feature_of(dst).copy()
-                for name in self.store_names
-            )
-            self.buffer.insert(
-                src,
-                NeighborEntry(
-                    neighbor=dst,
-                    time=time,
-                    edge_index=index,
-                    weight=weight,
-                    feature=feature,
-                    neighbor_degree=self.degrees.degree(dst),
-                    snapshot_features=dst_snap,
-                ),
-            )
-        if own_dst:
-            src_snap = tuple(
-                self.stores[name].feature_of(src).copy()
-                for name in self.store_names
-            )
-            self.buffer.insert(
-                dst,
-                NeighborEntry(
-                    neighbor=src,
-                    time=time,
-                    edge_index=index,
-                    weight=weight,
-                    feature=feature,
-                    neighbor_degree=self.degrees.degree(src),
-                    snapshot_features=src_snap,
-                ),
-            )
+        stores = [self.stores[name] for name in self.store_names]
+        for store in stores:
+            store.on_edge(index, src, dst, time, feature, weight)
+        # The entry kept for an endpoint snapshots the *other* endpoint's
+        # state, so each snapshot is read exactly when the node it is kept
+        # under is owned.  A self-loop fills two slots, source side first.
+        for node, other in ((src, dst), (dst, src)):
+            if self.owner is None or self.owns(node):
+                self.ring.push(
+                    node,
+                    other,
+                    time,
+                    index,
+                    weight,
+                    self.degrees.degree(other),
+                    feature,
+                    [store.feature_of(other) for store in stores],
+                )
 
     def apply_edge_block(
         self,
@@ -388,69 +648,36 @@ class ReplayState:
 
         Callers must guarantee the run invariant of
         :func:`repro.streams.replay.plan_update_blocks` — no two distinct
-        edges of the run share a node.  Degrees, store state and buffered
-        snapshots then come out bit-for-bit identical to calling
-        :meth:`apply_edge` per event, but the store updates and the
-        post-edge snapshot reads run as one vectorised pass per run: a
-        node's post-edge state *is* its post-run state, because no other
-        edge of the run touches it (a self-loop is one edge, whose two
-        touches both happen inside the stores' own block update).
+        edges of the run share a node.  Degrees, store state and the ring
+        then come out bit-for-bit identical to calling :meth:`apply_edge`
+        per event, but as one vectorised pass per run: a node's post-edge
+        state *is* its post-run state, because no other edge of the run
+        touches it (a self-loop is one edge, whose two touches both happen
+        inside the stores' own block update).
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        count = len(src)
         self.degrees.observe_edges(src, dst)
         for name in self.store_names:
             self.stores[name].on_edge_block(indices, src, dst, times, features, weights)
-        both = np.concatenate([src, dst])
-        snaps = [self.stores[name].features_of(both) for name in self.store_names]
-        both_deg = self.degrees.degrees_of(both)
-        own_src = self._owns_array(src)
-        own_dst = self._owns_array(dst)
-        insert = self.buffer.insert
-        if own_src is None:
-            active = range(count)
-        else:
-            # An offset with no owned endpoint buffers nothing here; skip
-            # its loop iteration entirely so a shard's per-event cost
-            # tracks its owned share of the stream, not the full stream.
-            active = np.nonzero(own_src | own_dst)[0]
-        for offset in active:
-            feature = features[offset] if features is not None else None
-            s, d = int(src[offset]), int(dst[offset])
-            time = float(times[offset])
-            weight = float(weights[offset])
-            index = int(indices[offset])
-            if own_src is None or own_src[offset]:
-                insert(
-                    s,
-                    NeighborEntry(
-                        neighbor=d,
-                        time=time,
-                        edge_index=index,
-                        weight=weight,
-                        feature=feature,
-                        neighbor_degree=int(both_deg[count + offset]),
-                        # Copy: a view would pin the whole per-run gather
-                        # matrix for as long as this entry stays buffered.
-                        snapshot_features=tuple(
-                            snap[count + offset].copy() for snap in snaps
-                        ),
-                    ),
-                )
-            if own_dst is None or own_dst[offset]:
-                insert(
-                    d,
-                    NeighborEntry(
-                        neighbor=s,
-                        time=time,
-                        edge_index=index,
-                        weight=weight,
-                        feature=feature,
-                        neighbor_degree=int(both_deg[offset]),
-                        snapshot_features=tuple(snap[offset].copy() for snap in snaps),
-                    ),
-                )
+        # One ring entry per (edge, endpoint) in apply_edge's order: edge
+        # after edge, source side first.
+        nodes = np.stack([src, dst], axis=1).ravel()
+        others = np.stack([dst, src], axis=1).ravel()
+        edge = np.arange(len(nodes)) >> 1
+        keep = self._owns_array(nodes)
+        if keep is not None:
+            nodes, others, edge = nodes[keep], others[keep], edge[keep]
+        self.ring.push_block(
+            nodes,
+            others,
+            np.asarray(times)[edge],
+            np.asarray(indices)[edge],
+            np.asarray(weights)[edge],
+            self.degrees.degrees_of(others),
+            None if features is None else features[edge],
+            [self.stores[name].features_of(others) for name in self.store_names],
+        )
 
     def write_query(
         self,
@@ -466,23 +693,29 @@ class ReplayState:
                 f"node {node} is not owned by shard {self.owner[0]} of "
                 f"{self.owner[1]}; route the query to its owner shard"
             )
-        entries = self.buffer.neighbors(node)
         out.target_degrees[row] = self.degrees.degree(node)
-        out.target_last_times[row] = entries[-1].time if entries else time
         if seen_mask is not None and 0 <= node < len(seen_mask):
             out.target_seen[row] = seen_mask[node]
         for name in self.store_names:
             out.target_features[name][row] = self.stores[name].feature_of(node)
-        for slot, entry in enumerate(entries):
-            out.neighbor_nodes[row, slot] = entry.neighbor
-            out.neighbor_times[row, slot] = entry.time
-            out.neighbor_degrees[row, slot] = entry.neighbor_degree
-            out.edge_weights[row, slot] = entry.weight
-            out.mask[row, slot] = True
-            if entry.feature is not None and out.edge_features.shape[2]:
-                out.edge_features[row, slot] = entry.feature
-            for pos, name in enumerate(self.store_names):
-                out.neighbor_features[name][row, slot] = entry.snapshot_features[pos]
+        ring = self.ring
+        ids = ring.entry_ids(node)
+        count = len(ids)
+        if not count:
+            out.target_last_times[row] = time
+            return
+        tables = ring.tables
+        times = tables["time"][ids]
+        out.target_last_times[row] = times[-1]
+        out.neighbor_times[row, :count] = times
+        out.neighbor_nodes[row, :count] = tables["neighbor"][ids]
+        out.neighbor_degrees[row, :count] = tables["neighbor_degree"][ids]
+        out.edge_weights[row, :count] = tables["weight"][ids]
+        out.mask[row, :count] = True
+        if ring.edge_feature_dim:
+            out.edge_features[row, :count] = tables["edge_features"][ids]
+        for name, table in zip(self.store_names, ring.snapshot_tables):
+            out.neighbor_features[name][row, :count] = table[ids]
 
 
 class _BundleCollector(_QueryOutputs):
@@ -495,12 +728,13 @@ class _BundleCollector(_QueryOutputs):
         edge_feature_dim: int,
         stores: Dict[str, OnlineFeatureStore],
         seen_mask: Optional[np.ndarray],
+        num_nodes: int,
     ) -> None:
         super().__init__(num_queries, k, edge_feature_dim, stores)
         self.k = k
         self.stores = stores
         self.seen_mask = seen_mask
-        self.state = ReplayState(k, stores)
+        self.state = ReplayState(k, stores, num_nodes, edge_feature_dim)
 
     # ------------------------------------------------------------------
     def on_edge(self, index, src, dst, time, feature, weight) -> None:
@@ -1889,6 +2123,7 @@ def build_context_bundle(
                 edge_feature_dim=ctdg.edge_feature_dim,
                 stores=stores,
                 seen_mask=seen_mask,
+                num_nodes=ctdg.num_nodes,
             )
             replay(ctdg, queries.nodes, queries.times, [collector])
     obs.inc("replay.events", ctdg.num_edges, engine=engine)

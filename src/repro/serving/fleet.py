@@ -1,10 +1,10 @@
 """Horizontally sharded serving fleet: N worker processes, one front door.
 
 The single-process :class:`~repro.serving.service.PredictionService` owns
-the whole graph; its ingest cost is dominated by per-endpoint context
-assembly — ``NeighborEntry`` construction, per-store snapshot copies, and
-k-recent buffer inserts, all per-event Python.  The fleet partitions
-exactly that work by endpoint hash
+the whole graph; part of its ingest cost is per-endpoint context
+assembly — per-store snapshot reads of the other endpoint and the writes
+into the k-recent ring (:class:`~repro.models.context.NeighborRing`).
+The fleet partitions exactly that work by endpoint hash
 (:func:`repro.streams.replay.endpoint_shard`) across worker processes
 while keeping results **bit-for-bit equal** to the single service:
 
@@ -15,11 +15,12 @@ while keeping results **bit-for-bit equal** to the single service:
   (Eqs. 4-5).  True stream partitioning (each edge to one shard) therefore
   cannot be bit-exact.  Instead the router broadcasts every ingest
   micro-batch to *all* shards; each shard advances the cheap vectorised
-  global state past every edge but performs the dominant per-endpoint work
-  only for the nodes it owns (``IncrementalContextStore(owner=...)``).
-  Per-shard buffered-context memory is O(owned · k) and per-shard ingest
-  wall-clock approaches ``shared + owned/N`` — measured ≥ 2× at 4 shards
-  by ``benchmarks/bench_serving_fleet.py``.
+  global state past every edge but performs the per-endpoint work only
+  for the nodes it owns (``IncrementalContextStore(owner=...)``).
+  Every shard still holds the full |V| · k ring, because its rows are the
+  node ids, but fills only the rows it owns; per-shard ingest wall-clock
+  approaches ``shared + owned/N`` — measured ≥ 2× modelled capacity at 4
+  shards by ``benchmarks/bench_serving_fleet.py``.
 
 * **Central scoring at identical micro-batch boundaries.**  Queries are
   batched in arrival order with the *same* ``micro_batch_size`` boundaries

@@ -14,8 +14,10 @@ is bit-for-bit identical to an offline
 prefix, a property asserted under fuzzing by
 ``tests/serving/test_incremental_store.py`` and guarded in CI.
 
-Memory is the paper's summary bound: O(|V| · k) buffered incidences plus
-the per-process tables — independent of how many edges have been ingested.
+Memory is the paper's summary bound: a dense |V| · k neighbour ring
+(:class:`repro.models.context.NeighborRing`, allocated on the first
+ingest or restore) plus the per-process tables — independent of how many
+edges have been ingested.
 
 Thread-safety: ``ingest``/``materialise``/``write_queries`` serialise on an
 internal condition variable, so a background ingest thread and a scoring
@@ -77,8 +79,8 @@ class IncrementalContextStore:
         (:mod:`repro.serving.fleet`).  The store still ingests *every*
         edge — global degrees and feature propagation, which any context
         may transitively depend on, must track the full stream — but the
-        expensive per-endpoint context assembly (snapshot copies and
-        k-recent buffer inserts) runs only for nodes whose
+        per-endpoint context assembly (snapshot reads and k-recent ring
+        writes) runs only for nodes whose
         :func:`repro.streams.replay.endpoint_shard` equals ``shard_index``.
         Owned nodes' contexts stay bit-for-bit what an unsharded store
         produces; querying a non-owned node raises.
@@ -126,7 +128,14 @@ class IncrementalContextStore:
                 endpoint_shard(np.arange(num_nodes, dtype=np.int64), owner[1])
                 == owner[0]
             )
-        self._state = ReplayState(k, stores, owner=owner, owner_mask=owner_mask)
+        self._state = ReplayState(
+            k,
+            stores,
+            self.num_nodes,
+            self.edge_feature_dim,
+            owner=owner,
+            owner_mask=owner_mask,
+        )
         self._structural_params = structural_params
         self._static_tables = static_tables
         self._seen_mask = seen_mask
@@ -345,19 +354,20 @@ class IncrementalContextStore:
         """Everything a warm restart needs, as ``(arrays, scalars)``.
 
         ``arrays`` maps namespaced keys (``buffer::*``, ``degrees::*``,
-        ``stores::<name>::*``) to the live replay state — the k-recent
-        neighbour tails, the Eq. 2 degree counts, and each online store's
-        evolving tables.  The dense blocks are views of live state (no
-        copy), so callers must finish persisting them before the next
-        ingest.  ``scalars`` carries the JSON-safe counters
-        (``edges_ingested``, ``last_time``, schema describers) that
-        :meth:`restore_runtime_state` validates against.  Taken atomically
-        under the store lock, so the export is a consistent cut between
-        two micro-batches.
+        ``stores::<name>::*``) to the replay state — the k-recent
+        neighbour ring as one column per field
+        (:meth:`~repro.models.context.NeighborRing.export_arrays`), the
+        Eq. 2 degree counts, and each online store's evolving tables.
+        ``scalars`` carries the JSON-safe counters (``edges_ingested``,
+        ``last_time``, schema describers) that
+        :meth:`restore_runtime_state` validates against.  Every array is a
+        copy taken under the store lock (stores' own exports copy too), so
+        the export is a consistent cut between two micro-batches that a
+        concurrent ingest cannot tear while the caller persists it.
         """
         with self._progress:
             arrays: Dict[str, np.ndarray] = {}
-            for key, value in self._state.buffer.export_arrays().items():
+            for key, value in self._state.ring.export_arrays().items():
                 arrays[f"buffer::{key}"] = value
             deg_nodes, deg_counts = self._state.degrees.export_arrays()
             arrays["degrees::nodes"] = deg_nodes
@@ -387,7 +397,8 @@ class IncrementalContextStore:
         (the snapshot holds replay state, not fitted tables) and must not
         have ingested anything yet.  Schema mismatches — different ``k``,
         node space, edge-feature width, or feature-store roster — raise
-        instead of resuming silently wrong.
+        instead of resuming silently wrong, as does a ``buffer::*`` block
+        the ring cannot scatter (checked before any state changes).
         """
         for field in ("k", "num_nodes", "edge_feature_dim"):
             if int(scalars[field]) != int(getattr(self, field)):
@@ -414,7 +425,7 @@ class IncrementalContextStore:
                     "restore_runtime_state needs a fresh store; this one has "
                     f"already ingested {self._edges_ingested} edges"
                 )
-            self._state.buffer.restore_arrays(
+            self._state.ring.restore_arrays(
                 {
                     key[len("buffer::"):]: value
                     for key, value in arrays.items()

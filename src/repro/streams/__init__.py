@@ -1,9 +1,10 @@
 """``repro.streams`` — continuous-time dynamic graph (CTDG) substrate.
 
-Columnar edge streams, graph snapshots, k-recent neighbour summaries,
-incremental degree tracking, chronological splitting, stream replay, and
-file I/O.  These implement §II-A/§II-E of the paper and are the foundation
-for feature augmentation and all TGNN models.
+Columnar edge streams, graph snapshots, incremental degree tracking,
+chronological splitting, stream replay, and file I/O.  These implement
+§II-A/§II-E of the paper and are the foundation for feature augmentation
+and all TGNN models.  The k-recent neighbour summary (Eq. 6) lives with
+the replay state that writes it, :class:`repro.models.context.NeighborRing`.
 """
 
 from repro.streams.batching import chronological_batches, minibatch_indices
@@ -11,7 +12,6 @@ from repro.streams.ctdg import CTDG, merge_streams
 from repro.streams.degrees import DegreeTracker
 from repro.streams.edge import TemporalEdge
 from repro.streams.io import read_csv, read_jsonl, write_csv, write_jsonl
-from repro.streams.neighbors import NeighborEntry, RecentNeighborBuffer
 from repro.streams.replay import (
     BatchStreamProcessor,
     PerEventAdapter,
@@ -35,8 +35,6 @@ __all__ = [
     "merge_streams",
     "TemporalEdge",
     "DegreeTracker",
-    "RecentNeighborBuffer",
-    "NeighborEntry",
     "GraphSnapshot",
     "snapshot_sequence",
     "StreamProcessor",

@@ -25,6 +25,7 @@ from repro.serving import (
     SegmentCorruption,
     SegmentReader,
     SegmentWriter,
+    ServingConfig,
     SnapshotCorruption,
     load_artifact,
     load_snapshot,
@@ -56,8 +57,7 @@ def persisted_service(fitted, dataset, persist, *, snapshot_every=300, stop=None
         num_nodes=dataset.ctdg.num_nodes,
         edge_feature_dim=dataset.ctdg.edge_feature_dim,
         task=dataset.task,
-        persist_path=persist,
-        snapshot_every=snapshot_every,
+        config=ServingConfig(persist_path=persist, snapshot_every=snapshot_every),
     )
     g = dataset.ctdg
     stop = g.num_edges if stop is None else stop

@@ -187,5 +187,10 @@ class TestStoreApi:
         g, _ = random_tied_stream(2, num_edges=400)
         store = self.make_store(g)
         store.ingest(g)
-        state = store._state
-        assert state.buffer.memory_entries() <= g.num_nodes * K
+        ring = store._state.ring
+        # One ring row per node, k slots each: the tables are sized to
+        # the node space, and no row holds more than k entries.
+        assert len(ring.head) == g.num_nodes
+        assert ring.tables["neighbor"].shape == (g.num_nodes * K,)
+        assert ring.count.max() <= K
+        assert ring.count.sum() <= g.num_nodes * K

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import email_eu_like
+from repro.features.random_feat import RandomFeatureProcess
 from repro.models import ModelConfig
 from repro.pipeline import Splash, SplashConfig
 from repro.serving import (
@@ -21,6 +22,7 @@ from repro.serving import (
     PredictionService,
     SegmentReader,
     SegmentWriter,
+    ServingConfig,
     load_snapshot,
     write_snapshot,
 )
@@ -31,6 +33,7 @@ from repro.serving.persistence import (
     SNAPSHOTS_DIR,
 )
 from repro.serving.store import IncrementalContextStore
+from repro.streams.ctdg import CTDG
 
 from tests.conftest import (
     assert_bundles_identical,
@@ -262,6 +265,100 @@ class TestStoreRuntimeState:
             restored.materialise(queries.nodes, times),
         )
 
+    @staticmethod
+    def _pinned_store(propagation="blocked"):
+        # k=2 over five nodes: node 0 wraps (three edges), node 3 gives a
+        # self-loop two slots and then wraps, node 4 is never touched.
+        g = CTDG(
+            np.array([0, 0, 3, 0]),
+            np.array([1, 2, 3, 3]),
+            np.array([1.0, 2.0, 3.0, 4.0]),
+            np.array([[0.5], [1.5], [2.5], [3.5]]),
+            np.array([1.0, 2.0, 0.5, 1.5]),
+            num_nodes=5,
+        )
+        process = RandomFeatureProcess(3, rng=0)
+        process.fit(g, g.num_nodes)  # nodes 0-3 seen: snapshots are table rows
+        store = IncrementalContextStore(
+            [process], 2, g.num_nodes, 1, propagation=propagation
+        )
+        return g, process, store
+
+    @staticmethod
+    def _buffer(arrays):
+        return {
+            key[len("buffer::"):]: value
+            for key, value in arrays.items()
+            if key.startswith("buffer::")
+        }
+
+    @pytest.mark.parametrize("propagation", ["event", "blocked"])
+    def test_snapshot_buffer_layout_is_pinned(self, propagation):
+        # Entries grouped by ascending node, oldest to newest within a
+        # node: the layout snapshots on disk already use, so they resume.
+        g, process, live = self._pinned_store(propagation)
+        live.ingest(g)
+        arrays, scalars = live.export_runtime_state()
+        neighbor = np.array([2, 3, 0, 0, 3, 0])
+        expected = {
+            "entry_node": np.array([0, 0, 1, 2, 3, 3]),
+            "neighbor": neighbor,
+            "time": np.array([2.0, 4.0, 1.0, 2.0, 3.0, 4.0]),
+            "edge_index": np.array([1, 3, 0, 1, 2, 3]),
+            "weight": np.array([2.0, 1.5, 1.0, 2.0, 0.5, 1.5]),
+            "neighbor_degree": np.array([1, 3, 1, 2, 2, 3]),
+            "edge_features": np.array([[1.5], [3.5], [0.5], [1.5], [2.5], [3.5]]),
+            "snap00": process.table[neighbor],
+        }
+        buffer = self._buffer(arrays)
+        assert sorted(buffer) == sorted(expected)
+        for key, value in expected.items():
+            assert buffer[key].dtype == value.dtype, key
+            np.testing.assert_array_equal(buffer[key], value, err_msg=key)
+
+        restored = self._pinned_store(propagation)[2]
+        restored.restore_runtime_state(arrays, scalars)
+        again = self._buffer(restored.export_runtime_state()[0])
+        for key, value in expected.items():
+            np.testing.assert_array_equal(again[key], value, err_msg=key)
+        nodes = np.arange(g.num_nodes)
+        assert_bundles_identical(
+            live.materialise(nodes, 5.0), restored.materialise(nodes, 5.0)
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda b: b.update(time=b["time"][:-1]), "shape"),
+            (lambda b: b.update(entry_node=b["entry_node"][::-1]), "non-decreasing"),
+            (
+                lambda b: b.update(
+                    {key: np.concatenate([col[:1], col]) for key, col in b.items()}
+                ),
+                "more than k",
+            ),
+        ],
+        ids=["unequal-lengths", "decreasing-nodes", "over-k"],
+    )
+    def test_restore_rejects_unscatterable_buffer(self, corrupt, match):
+        g, _, live = self._pinned_store()
+        live.ingest(g)
+        arrays, scalars = live.export_runtime_state()
+        buffer = self._buffer(arrays)
+        corrupt(buffer)
+        arrays.update({f"buffer::{key}": value for key, value in buffer.items()})
+        fresh = self._pinned_store()[2]
+        before = fresh.export_runtime_state()
+        with pytest.raises(ValueError, match=match):
+            fresh.restore_runtime_state(arrays, scalars)
+        # Nothing was touched: the store still exports its fresh state.
+        after = fresh.export_runtime_state()
+        assert after[1] == before[1]
+        assert sorted(after[0]) == sorted(before[0])
+        for key, value in before[0].items():
+            np.testing.assert_array_equal(after[0][key], value)
+        assert fresh._state.ring.tables == {}
+
     def test_restore_validates_schema(self):
         g, _ = random_tied_stream(11, num_nodes=30, num_edges=120, d_e=2)
         processes = fitted_context_processes(g, dim=6, seed=4)
@@ -289,7 +386,9 @@ class TestWarmRestart:
     def test_resume_equals_live_bit_for_bit(self, fitted, dataset, tmp_path):
         persist = str(tmp_path / "persist")
         service = make_service(
-            fitted, dataset, persist_path=persist, snapshot_every=300
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=300),
         )
         ingest_stream(service, dataset.ctdg)
         service.persistence.flush()
@@ -307,7 +406,9 @@ class TestWarmRestart:
 
     def test_resume_without_snapshot_cold_replays(self, fitted, dataset, tmp_path):
         persist = str(tmp_path / "persist")
-        service = make_service(fitted, dataset, persist_path=persist)
+        service = make_service(
+            fitted, dataset, config=ServingConfig(persist_path=persist)
+        )
         assert service.persistence.snapshot_every == DEFAULT_SNAPSHOT_EVERY
         ingest_stream(service, dataset.ctdg, stop=500)
         service.persistence.flush()
@@ -328,7 +429,9 @@ class TestWarmRestart:
         # the durable watermark (honest loss), not a torn in-between.
         persist = str(tmp_path / "persist")
         service = make_service(
-            fitted, dataset, persist_path=persist, snapshot_every=10_000
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=10_000),
         )
         ingest_stream(service, dataset.ctdg, stop=400)
         service.persistence.flush()
@@ -354,7 +457,9 @@ class TestWarmRestart:
     def test_resumed_service_continues_the_stream(self, fitted, dataset, tmp_path):
         persist = str(tmp_path / "persist")
         service = make_service(
-            fitted, dataset, persist_path=persist, snapshot_every=200
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=200),
         )
         ingest_stream(service, dataset.ctdg, stop=450)
         service.persistence.flush()
@@ -375,10 +480,51 @@ class TestWarmRestart:
         second = PredictionService.resume(persist, task=dataset.task)
         assert second.store.edges_ingested == dataset.ctdg.num_edges
 
+    def test_ingest_during_snapshot_write_does_not_tear_the_cut(
+        self, fitted, dataset, tmp_path, monkeypatch
+    ):
+        # The snapshot's arrays are written after the store lock is
+        # released, so another thread may ingest meanwhile.  The cut must
+        # stay the state at its own edges_ingested: resume replays the
+        # concurrent batch from the log, and a cut holding live tables
+        # would apply it twice.
+        import repro.serving.persistence as persistence
+
+        persist = str(tmp_path / "persist")
+        service = make_service(
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=10**6),
+        )
+        cut = 600
+        ingest_stream(service, dataset.ctdg, stop=cut)
+        write_snapshot = persistence.write_snapshot
+
+        def write_while_ingesting(root, arrays, scalars):
+            ingest_stream(service, dataset.ctdg, start=cut)
+            return write_snapshot(root, arrays, scalars)
+
+        monkeypatch.setattr(persistence, "write_snapshot", write_while_ingesting)
+        service.persistence.snapshot()
+        monkeypatch.undo()
+        service.persistence.flush()
+
+        resumed = PredictionService.resume(persist, task=dataset.task)
+        assert resumed.store.edges_ingested == dataset.ctdg.num_edges
+        reference = make_service(fitted, dataset)
+        ingest_stream(reference, dataset.ctdg)
+        nodes, times = probe_queries(dataset.ctdg, count=dataset.ctdg.num_nodes)
+        assert_bundles_identical(
+            reference.store.materialise(nodes, times),
+            resumed.store.materialise(nodes, times),
+        )
+
     def test_snapshot_gc_keeps_last_two(self, fitted, dataset, tmp_path):
         persist = str(tmp_path / "persist")
         service = make_service(
-            fitted, dataset, persist_path=persist, snapshot_every=100
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=100),
         )
         ingest_stream(service, dataset.ctdg)
         assert len(service.persistence.snapshots) == 2
@@ -393,7 +539,9 @@ class TestWarmRestart:
         self, fitted, dataset, tmp_path
     ):
         persist = str(tmp_path / "persist")
-        service = make_service(fitted, dataset, persist_path=persist)
+        service = make_service(
+            fitted, dataset, config=ServingConfig(persist_path=persist)
+        )
         ingest_stream(service, dataset.ctdg, stop=100)
         with pytest.raises(FileExistsError):
             PersistenceManager.create(persist, fitted, service.store)
@@ -407,7 +555,9 @@ class TestWarmRestart:
 
         persist = str(tmp_path / "persist")
         service = make_service(
-            fitted, dataset, persist_path=persist, snapshot_every=300
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=300),
         )
         ingest_stream(service, dataset.ctdg)
         service.persistence.flush()
@@ -430,7 +580,9 @@ class TestRebind:
     ):
         persist = str(tmp_path / "persist")
         service = make_service(
-            fitted, dataset, persist_path=persist, snapshot_every=250
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=250),
         )
         ingest_stream(service, dataset.ctdg)
         service.persistence.flush()

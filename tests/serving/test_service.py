@@ -9,7 +9,7 @@ from repro.datasets import email_eu_like
 from repro.models import ModelConfig
 from repro.models.slim import SLIM
 from repro.pipeline import ExecutionConfig, Splash, SplashConfig
-from repro.serving import PredictionService
+from repro.serving import PredictionService, ServingConfig
 
 FAST_MODEL = ModelConfig(
     hidden_dim=16, epochs=4, batch_size=64, patience=3, time_dim=8, seed=0
@@ -84,7 +84,9 @@ class TestServeStream:
         # consumer and exit instead of blocking forever on the full queue.
         import time
 
-        service = make_service(fitted, dataset, micro_batch_size=4)
+        service = make_service(
+            fitted, dataset, config=ServingConfig(micro_batch_size=4)
+        )
 
         def boom(bundle):
             raise RuntimeError("scoring failure")
@@ -199,7 +201,7 @@ class TestPredict:
 
     def test_micro_batch_validation(self, fitted, dataset):
         with pytest.raises(ValueError, match="micro_batch_size"):
-            make_service(fitted, dataset, micro_batch_size=0)
+            make_service(fitted, dataset, config=ServingConfig(micro_batch_size=0))
 
 
 class TestHotSwap:

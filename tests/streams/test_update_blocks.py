@@ -216,6 +216,14 @@ def test_blocked_ingest_handles_overflow_node_ids():
         == stores["blocked"].stores["random"].propagation_degree(50)
         == 1
     )
+    # The contexts agree too: id 50 keeps its entry in a ring row of its
+    # own, past the node space, and its in-range neighbour is unaffected.
+    nodes = np.array([50, 18, 10], dtype=np.int64)
+    event = stores["event"].materialise(nodes, 11.0)
+    blocked = stores["blocked"].materialise(nodes, 11.0)
+    assert_bundles_identical(event, blocked)
+    assert blocked.neighbor_nodes[:2].tolist() == [[18, -1, -1], [50, -1, -1]]
+    assert blocked.mask[:2].sum() == 2
 
 
 def test_propagation_knob_validation():
