@@ -75,13 +75,12 @@ class Node2Vec:
             )
         self._model = model
         embeddings = model.embeddings.copy()
-        # Zero rows for ids never visited (isolated / absent nodes) so they do
-        # not leak random initialisation as a fake positional signal.
-        visited = np.zeros(size, dtype=bool)
-        for walk in walks:
-            for node in walk:
-                visited[node] = True
-        embeddings[~visited] = 0.0
+        # Zero rows for ids in no training pair (absent nodes, isolated nodes
+        # whose walks are singletons) so they do not leak random
+        # initialisation as a fake positional signal.
+        trained = np.zeros(size, dtype=bool)
+        trained[pairs.ravel()] = True
+        embeddings[~trained] = 0.0
         return embeddings
 
     @property

@@ -24,7 +24,8 @@ class GraphSnapshot:
 
     def observe_edge(self, src: int, dst: int, weight: float = 1.0) -> None:
         """Add ``weight`` to Ω((src, dst)); inserts endpoints as needed."""
-        for a, b in ((src, dst), (dst, src)):
+        ends = ((src, dst),) if src == dst else ((src, dst), (dst, src))
+        for a, b in ends:
             row = self._adjacency.setdefault(a, {})
             if b not in row and a <= b:
                 self._num_edges_distinct += 1

@@ -15,6 +15,7 @@ from repro.features.node2vec import (
     build_training_pairs,
     unigram_table,
 )
+from repro.features.node2vec.skipgram import sgns_loss
 
 
 class TestAliasTable:
@@ -91,6 +92,31 @@ class TestWalkGenerator:
     def test_rejects_bad_pq(self):
         with pytest.raises(ValueError):
             WalkGenerator(nx.path_graph(3), p=0.0)
+        with pytest.raises(ValueError, match="transition row"):
+            WalkGenerator(nx.path_graph(3), p=1e-320)  # 1/p overflows
+
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_weights(self, weight):
+        graph = nx.Graph()
+        graph.add_edge(0, 1, weight=1.0)
+        graph.add_edge(1, 7, weight=weight)
+        with pytest.raises(ValueError, match="node 1"):
+            WalkGenerator(graph)
+
+    def test_rejects_all_zero_row(self):
+        graph = nx.Graph()
+        graph.add_edge(0, 1, weight=1.0)
+        graph.add_edge(2, 3, weight=0.0)
+        with pytest.raises(ValueError, match="node 2"):
+            WalkGenerator(graph)
+
+    def test_rejects_directed_graph(self):
+        with pytest.raises(ValueError, match="undirected"):
+            WalkGenerator(nx.DiGraph([(0, 1), (1, 2)]))
+
+    def test_walk_from_unknown_node_is_singleton(self):
+        rng = np.random.default_rng(0)
+        assert WalkGenerator(nx.path_graph(3)).walk_from(9, 5, rng) == [9]
 
     def test_weighted_transitions_biased(self):
         graph = nx.Graph()
@@ -140,17 +166,23 @@ class TestSkipGram:
         pairs = build_training_pairs(walks, window=2, rng=0)
         table = unigram_table(walks, num_nodes=8)
         model = SkipGramModel(8, 16, rng=0)
-        first = model._train_batch(pairs[:256], table, lr=0.0, num_negative=3)
+        first = sgns_loss(*model._train_batch(pairs[:256], table, 0.0, 3))
         model.train(pairs, table, epochs=3, lr=0.05)
-        last = model._train_batch(pairs[:256], table, lr=0.0, num_negative=3)
+        last = sgns_loss(*model._train_batch(pairs[:256], table, 0.0, 3))
         assert last < first
+
+    def test_unigram_table_rejects_out_of_range_tokens(self):
+        with pytest.raises(ValueError, match="num_nodes=3"):
+            unigram_table([[0, 1, 3]], num_nodes=3)
 
     def test_validates_params(self):
         with pytest.raises(ValueError):
             SkipGramModel(0, 4)
         model = SkipGramModel(4, 4, rng=0)
-        with pytest.raises(ValueError):
-            model.train(np.zeros((1, 2), dtype=int), AliasTable([1.0] * 4), epochs=0)
+        pairs, table = np.zeros((1, 2), dtype=int), AliasTable([1.0] * 4)
+        for bad in ({"epochs": 0}, {"num_negative": 0}, {"lr": 0.0}, {"batch_size": 0}):
+            with pytest.raises(ValueError):
+                model.train(pairs, table, **bad)
 
 
 class TestNode2VecEndToEnd:
@@ -173,6 +205,22 @@ class TestNode2VecEndToEnd:
         graph = nx.path_graph(5)
         with pytest.raises(ValueError):
             Node2Vec().fit(graph, num_nodes=3)
+
+    def test_isolated_ids_zero(self):
+        # An isolated node's walks are singletons, so it enters no training
+        # pair and its row must not keep the random initialisation.
+        graph = nx.path_graph(4)
+        graph.add_node(6)
+        config = Node2VecConfig(dim=8, num_walks=2, walk_length=5, epochs=1)
+        out = Node2Vec(config, rng=0).fit(graph)
+        assert out.shape == (7, 8)
+        np.testing.assert_array_equal(out[4:], 0.0)
+        assert np.abs(out[:4]).sum(axis=1).min() > 0
+
+    def test_unpaired_walks_give_zero_rows(self):
+        config = Node2VecConfig(dim=8, walk_length=1)
+        out = Node2Vec(config, rng=0).fit(nx.path_graph(3))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_absent_ids_zero(self):
         graph = nx.path_graph(3)  # ids 0..2

@@ -21,6 +21,14 @@ class TestGraphSnapshot:
         assert snapshot.weight(0, 1) == 5.0
         assert snapshot.weight(1, 0) == 5.0  # undirected accumulation
 
+    def test_self_loop_weight_added_once(self):
+        snapshot = GraphSnapshot()
+        snapshot.observe_edge(3, 3, 1.5)
+        snapshot.observe_edge(3, 3, 1.0)
+        assert snapshot.weight(3, 3) == 2.5
+        assert snapshot.num_edges == 1
+        assert snapshot.to_networkx()[3][3]["weight"] == 2.5
+
     def test_counts_distinct_edges(self):
         snapshot = GraphSnapshot()
         snapshot.observe_edge(0, 1)
