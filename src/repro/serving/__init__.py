@@ -45,6 +45,7 @@ from repro.serving.persistence import (
     SegmentReader,
     SegmentWriter,
     SnapshotCorruption,
+    SnapshotWriteError,
     load_snapshot,
     write_snapshot,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "SegmentReader",
     "SegmentCorruption",
     "SnapshotCorruption",
+    "SnapshotWriteError",
     "write_snapshot",
     "load_snapshot",
 ]

@@ -216,11 +216,12 @@ def _worker_main(
             elif command == "snapshot":
                 if service.persistence is not None:
                     service.persistence.snapshot()
+                    # The write runs on a background thread; land it so
+                    # the snapshot is on disk when the router hears "ok".
+                    service.persistence.flush()
                 conn.send(("ok", None))
             elif command == "shutdown":
-                if service.persistence is not None:
-                    service.persistence.flush()
-                    service.persistence.close()
+                service.close()
                 conn.send(("ok", None))
                 return
             else:
@@ -1051,12 +1052,7 @@ class ServingClient:
         if isinstance(self._backend, FleetRouter):
             self._backend.shutdown()
             return
-        service = self._backend
-        service.stop_telemetry()
-        if service.persistence is not None:
-            service.persistence.flush()
-            service.persistence.close()
-        service.store.close()
+        self._backend.close()
 
     def __enter__(self) -> "ServingClient":
         return self

@@ -18,7 +18,8 @@ module makes restart time independent of the stream:
   :meth:`IncrementalContextStore.export_runtime_state` cut as one ``.npy``
   file per array plus a ``snapshot.json`` index (sizes + CRC-32 + the
   store's scalars).  The dense working tables are contiguous, so a
-  snapshot is a straight ``np.save`` per table; :func:`load_snapshot`
+  snapshot writes each table's bytes straight after its ``.npy`` header,
+  checksummed from memory; :func:`load_snapshot`
   memory-maps the large ones copy-on-write, so a warm restart touches only
   the pages the resumed replay actually dirties.  Snapshot directories are
   written to a temp sibling and renamed into place — a torn snapshot is
@@ -33,7 +34,8 @@ module makes restart time independent of the stream:
 :class:`PersistenceManager` wires the three together around one live
 :class:`~repro.serving.store.IncrementalContextStore`: ingest tees into
 the log through :meth:`IncrementalContextStore.attach_journal`, snapshots
-fire every ``snapshot_every`` ingested edges, and
+are cut every ``snapshot_every`` ingested edges on the ingesting thread and
+written by one background writer thread, and
 :meth:`PersistenceManager.resume` rebuilds the pair — load artifact, mmap
 the newest valid snapshot, tail-replay only the unsnapshotted suffix —
 bit-for-bit equal to a cold replay of the full log
@@ -43,6 +45,7 @@ bit-for-bit equal to a cold replay of the full log
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -80,6 +83,10 @@ class SnapshotCorruption(RuntimeError):
     """A snapshot directory is torn, truncated, or checksum-mismatched."""
 
 
+class SnapshotWriteError(RuntimeError):
+    """The background snapshot writer failed; ``__cause__`` holds why."""
+
+
 def event_dtype(edge_feature_dim: int) -> np.dtype:
     """The fixed per-edge record layout of a segment file."""
     return np.dtype(
@@ -91,14 +98,6 @@ def event_dtype(edge_feature_dim: int) -> np.dtype:
             ("feat", "<f8", (int(edge_feature_dim),)),
         ]
     )
-
-
-def _fsync_file(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _fsync_dir(path: str) -> None:
@@ -492,6 +491,40 @@ class EventLog:
 # ----------------------------------------------------------------------
 # Snapshots
 # ----------------------------------------------------------------------
+def _snapshot_dir(snapshots_root: str, offset: int) -> str:
+    """Where the snapshot cut at global log ``offset`` is written:
+    ``snap-<offset>``, suffixed ``-<n>`` past directories already there."""
+    name = f"snap-{int(offset):012d}"
+    final = os.path.join(snapshots_root, name)
+    attempt = 0
+    while os.path.exists(final):
+        attempt += 1
+        final = os.path.join(snapshots_root, f"{name}-{attempt}")
+    return final
+
+
+def _write_npy(path: str, array: np.ndarray) -> Tuple[int, int]:
+    """Write ``array`` with exactly ``np.save``'s bytes and fsync it.
+
+    Returns the file's size and CRC-32, both taken from the header and
+    the array's buffer in memory, so the file is never read back and the
+    array is never copied.
+    """
+    array = np.ascontiguousarray(array)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(array)
+    )
+    head = header.getvalue()
+    body = array.reshape(-1).view(np.uint8)
+    with open(path, "wb") as handle:
+        handle.write(head)
+        handle.write(body)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return len(head) + body.size, zlib.crc32(body, zlib.crc32(head))
+
+
 def write_snapshot(
     snapshots_root: str, arrays: Dict[str, np.ndarray], scalars: dict
 ) -> str:
@@ -504,12 +537,7 @@ def write_snapshot(
     one, and :func:`load_snapshot` detects the difference.
     """
     os.makedirs(snapshots_root, exist_ok=True)
-    name = f"snap-{int(scalars['offset']):012d}"
-    final = os.path.join(snapshots_root, name)
-    attempt = 0
-    while os.path.exists(final):
-        attempt += 1
-        final = os.path.join(snapshots_root, f"{name}-{attempt}")
+    final = _snapshot_dir(snapshots_root, scalars["offset"])
     tmp = os.path.join(
         snapshots_root, f".{os.path.basename(final)}.tmp-{os.getpid()}"
     )
@@ -520,16 +548,8 @@ def write_snapshot(
         index = {}
         for position, key in enumerate(sorted(arrays)):
             file_name = f"a{position:05d}.npy"
-            file_path = os.path.join(tmp, file_name)
-            np.save(file_path, np.ascontiguousarray(arrays[key]))
-            with open(file_path, "rb") as handle:
-                payload = handle.read()
-            index[key] = {
-                "file": file_name,
-                "bytes": len(payload),
-                "crc32": zlib.crc32(payload),
-            }
-            _fsync_file(file_path)
+            size, crc = _write_npy(os.path.join(tmp, file_name), arrays[key])
+            index[key] = {"file": file_name, "bytes": size, "crc32": crc}
         atomic_write_json(
             os.path.join(tmp, "snapshot.json"),
             {
@@ -610,6 +630,12 @@ class PersistenceManager:
     ``snapshot_every`` bounds the tail a restart must replay; the
     adaptation loop re-binds a promoted artifact + warmed store through
     :meth:`rebind` so checkpoints follow hot swaps.
+
+    A snapshot is cut on the calling thread and written by one background
+    writer thread, at most one write in flight (see :meth:`snapshot`).
+    The next cut, :meth:`flush`, :meth:`close`, :meth:`rebind` and
+    :attr:`snapshots` wait for that write first; once a write has failed,
+    they and :meth:`maybe_snapshot` raise :class:`SnapshotWriteError`.
     """
 
     def __init__(
@@ -639,6 +665,8 @@ class PersistenceManager:
         self._snapshots = list(snapshots or [])
         self._last_snapshot_position = int(last_snapshot_position)
         self._lock = threading.RLock()
+        self._writer: Optional[threading.Thread] = None
+        self._write_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -679,7 +707,7 @@ class PersistenceManager:
             snapshot_every=snapshot_every,
             keep_snapshots=keep_snapshots,
         )
-        manager._write_manifest()
+        manager._write_manifest(log.segment_index(), [])
         store.attach_journal(manager.append)
         return manager
 
@@ -743,58 +771,62 @@ class PersistenceManager:
             segment_events=manifest.get("segment_events", DEFAULT_SEGMENT_EVENTS),
             verify=verify,
         )
-        owner = store_cfg.get("owner")
-        store = IncrementalContextStore(
-            splash.processes,
-            store_cfg["k"],
-            store_cfg["num_nodes"],
-            store_cfg["edge_feature_dim"],
-            propagation=store_cfg.get("propagation", "blocked"),
-            owner=tuple(owner) if owner is not None else None,
-        )
-        base_offset = int(manifest.get("base_offset", 0))
-        usable: List[str] = []
-        restored_position = 0
-        for rel in manifest.get("snapshots", []):
-            if os.path.isdir(os.path.join(root, rel)):
-                usable.append(rel)
-        for rel in reversed(usable):
-            try:
-                arrays, scalars = load_snapshot(
-                    os.path.join(root, rel), verify=verify
-                )
-                offset = base_offset + int(scalars["edges_ingested"])
-                if offset > log.durable_events:
-                    logger.warning(
-                        "snapshot %s is ahead of the durable log "
-                        "(%d > %d); skipping it",
-                        rel,
-                        offset,
-                        log.durable_events,
+        try:
+            owner = store_cfg.get("owner")
+            store = IncrementalContextStore(
+                splash.processes,
+                store_cfg["k"],
+                store_cfg["num_nodes"],
+                store_cfg["edge_feature_dim"],
+                propagation=store_cfg.get("propagation", "blocked"),
+                owner=tuple(owner) if owner is not None else None,
+            )
+            base_offset = int(manifest.get("base_offset", 0))
+            usable: List[str] = []
+            restored_position = 0
+            for rel in manifest.get("snapshots", []):
+                if os.path.isdir(os.path.join(root, rel)):
+                    usable.append(rel)
+            for rel in reversed(usable):
+                try:
+                    arrays, scalars = load_snapshot(
+                        os.path.join(root, rel), verify=verify
                     )
-                    continue
-                store.restore_runtime_state(arrays, scalars)
-                restored_position = int(scalars["edges_ingested"])
-                break
-            except SnapshotCorruption as error:
-                logger.warning("skipping unusable snapshot %s: %s", rel, error)
-        for block in log.read_range(base_offset + store.edges_ingested):
-            store.ingest_arrays(*block)
-        manager = cls(
-            root,
-            store,
-            log,
-            artifact_info=dict(manifest["artifact"]),
-            base_offset=base_offset,
-            snapshot_every=(
-                snapshot_every
-                if snapshot_every is not None
-                else manifest.get("snapshot_every", DEFAULT_SNAPSHOT_EVERY)
-            ),
-            keep_snapshots=keep_snapshots,
-            snapshots=usable,
-            last_snapshot_position=restored_position,
-        )
+                    offset = base_offset + int(scalars["edges_ingested"])
+                    if offset > log.durable_events:
+                        logger.warning(
+                            "snapshot %s is ahead of the durable log "
+                            "(%d > %d); skipping it",
+                            rel,
+                            offset,
+                            log.durable_events,
+                        )
+                        continue
+                    store.restore_runtime_state(arrays, scalars)
+                    restored_position = int(scalars["edges_ingested"])
+                    break
+                except SnapshotCorruption as error:
+                    logger.warning("skipping unusable snapshot %s: %s", rel, error)
+            for block in log.read_range(base_offset + store.edges_ingested):
+                store.ingest_arrays(*block)
+            manager = cls(
+                root,
+                store,
+                log,
+                artifact_info=dict(manifest["artifact"]),
+                base_offset=base_offset,
+                snapshot_every=(
+                    snapshot_every
+                    if snapshot_every is not None
+                    else manifest.get("snapshot_every", DEFAULT_SNAPSHOT_EVERY)
+                ),
+                keep_snapshots=keep_snapshots,
+                snapshots=usable,
+                last_snapshot_position=restored_position,
+            )
+        except BaseException:
+            log.close()
+            raise
         store.attach_journal(manager.append)
         return splash, store, manager
 
@@ -812,7 +844,11 @@ class PersistenceManager:
 
     @property
     def snapshots(self) -> List[str]:
-        return list(self._snapshots)
+        """Snapshot directories the manifest names, once the write in
+        flight has landed."""
+        with self._lock:
+            self._join_writer()
+            return list(self._snapshots)
 
     @property
     def log(self) -> EventLog:
@@ -823,14 +859,46 @@ class PersistenceManager:
         return self._log.append(src, dst, times, features, weights)
 
     def flush(self) -> None:
-        self._log.flush()
+        """Land the snapshot write in flight, then make the log durable.
+
+        The log is flushed even when the write failed; the failure is
+        raised afterwards as :class:`SnapshotWriteError`.
+        """
+        with self._lock:
+            try:
+                self._join_writer()
+            finally:
+                self._log.flush()
 
     def close(self) -> None:
-        self._log.close()
+        """Land the snapshot write in flight, then flush and close the log
+        (closed even when the write failed, which is raised afterwards)."""
+        with self._lock:
+            try:
+                self._join_writer()
+            finally:
+                self._log.close()
 
     # ------------------------------------------------------------------
+    def _join_writer(self) -> None:
+        """Wait for the snapshot write in flight; raise if any write failed."""
+        if self._writer is not None:
+            self._writer.join()
+            self._writer = None
+        self._raise_write_error()
+
+    def _raise_write_error(self) -> None:
+        if self._write_error is not None:
+            raise SnapshotWriteError(
+                "a background snapshot write failed; the manifest names only "
+                "complete snapshots, so resume() replays the durable log past "
+                "the last of them"
+            ) from self._write_error
+
     def maybe_snapshot(self) -> Optional[str]:
-        """Snapshot when ``snapshot_every`` edges have passed since the last."""
+        """Snapshot when ``snapshot_every`` edges have passed since the last
+        cut.  Raises :class:`SnapshotWriteError` once a write has failed."""
+        self._raise_write_error()
         due = (
             self.store.edges_ingested - self._last_snapshot_position
             >= self.snapshot_every
@@ -840,10 +908,20 @@ class PersistenceManager:
         return self.snapshot()
 
     def snapshot(self) -> str:
-        """Persist one consistent store cut and re-point the manifest at it."""
+        """Cut one consistent store state and hand it to the writer thread.
+
+        On the calling thread: wait for the previous write, copy the store
+        state under its lock, flush the log the cut depends on and capture
+        the segment index.  The writer thread then writes the snapshot
+        directory, re-points the manifest at it and removes snapshots past
+        ``keep_snapshots``.  Returns the directory the snapshot lands in;
+        it exists once :meth:`flush` (or the next cut) has waited for the
+        write.
+        """
         with obs.span(
             "persist.snapshot", edges=self.store.edges_ingested
         ), self._lock:
+            self._join_writer()
             arrays, scalars = self.store.export_runtime_state()
             scalars["offset"] = self._base_offset + scalars["edges_ingested"]
             # Journal appends run under the same store lock as the state
@@ -851,27 +929,54 @@ class PersistenceManager:
             # log; flushing makes it durable before the snapshot that
             # depends on it exists.
             self._log.flush()
-            rel = os.path.join(
-                SNAPSHOTS_DIR,
-                write_snapshot(
-                    os.path.join(self.root, SNAPSHOTS_DIR), arrays, scalars
-                ),
-            )
-            self._snapshots.append(rel)
-            dropped = self._snapshots[: -self.keep_snapshots]
-            self._snapshots = self._snapshots[-self.keep_snapshots:]
+            segments = self._log.segment_index()
             self._last_snapshot_position = int(scalars["edges_ingested"])
-            self._write_manifest()
-            for old in dropped:
-                shutil.rmtree(os.path.join(self.root, old), ignore_errors=True)
-            obs.inc("persist.snapshots")
-            logger.info(
-                "snapshot %s at offset %d (durable log: %d events)",
-                rel,
-                scalars["offset"],
-                self._log.durable_events,
+            path = _snapshot_dir(
+                os.path.join(self.root, SNAPSHOTS_DIR), scalars["offset"]
             )
-            return os.path.join(self.root, rel)
+            writer = threading.Thread(
+                target=self._write,
+                args=(arrays, scalars, segments),
+                name="snapshot-writer",
+                # Interpreter exit waits for the write to land.
+                daemon=False,
+            )
+            writer.start()
+            self._writer = writer
+            return path
+
+    def _write(
+        self, arrays: Dict[str, np.ndarray], scalars: dict, segments: List[dict]
+    ) -> None:
+        """The writer thread's half of :meth:`snapshot`.
+
+        It touches no state the calling thread changes before joining it,
+        and its failure is raised on the calling thread.
+        """
+        try:
+            with obs.span("persist.snapshot.write", offset=scalars["offset"]):
+                rel = os.path.join(
+                    SNAPSHOTS_DIR,
+                    write_snapshot(
+                        os.path.join(self.root, SNAPSHOTS_DIR), arrays, scalars
+                    ),
+                )
+                snapshots = self._snapshots + [rel]
+                kept = snapshots[-self.keep_snapshots:]
+                try:
+                    self._write_manifest(segments, kept)
+                except BaseException:
+                    # No manifest names the new directory: drop it.
+                    shutil.rmtree(os.path.join(self.root, rel), ignore_errors=True)
+                    raise
+                self._snapshots = kept
+                for old in snapshots[: -self.keep_snapshots]:
+                    shutil.rmtree(os.path.join(self.root, old), ignore_errors=True)
+            obs.inc("persist.snapshots")
+            logger.info("snapshot %s at offset %d", rel, scalars["offset"])
+        except BaseException as error:  # raised as SnapshotWriteError
+            obs.record_crash("snapshot-writer", error)
+            self._write_error = error
 
     def rebind(self, splash, store: IncrementalContextStore, note: str = "") -> None:
         """Re-point persistence at a promoted artifact + warmed store pair.
@@ -889,6 +994,7 @@ class PersistenceManager:
         would have served).
         """
         with self._lock:
+            self._join_writer()
             self.store.attach_journal(None)
             self._log.flush()
             number = 1 + _artifact_number(self._artifact_info["path"])
@@ -901,13 +1007,13 @@ class PersistenceManager:
             self._snapshots = []
             self._last_snapshot_position = store.edges_ingested
             store.attach_journal(self.append)
-            self._write_manifest()
+            self._write_manifest(self._log.segment_index(), [])
             for old in old_snapshots:
                 shutil.rmtree(os.path.join(self.root, old), ignore_errors=True)
             self.snapshot()
 
     # ------------------------------------------------------------------
-    def _write_manifest(self) -> None:
+    def _write_manifest(self, segments: List[dict], snapshots: List[str]) -> None:
         payload = {
             "format": MANIFEST_FORMAT,
             "version": MANIFEST_VERSION,
@@ -931,9 +1037,9 @@ class PersistenceManager:
             "snapshot_every": self.snapshot_every,
             "segments": [
                 {**entry, "file": os.path.join(SEGMENTS_DIR, entry["file"])}
-                for entry in self._log.segment_index()
+                for entry in segments
             ],
-            "snapshots": list(self._snapshots),
+            "snapshots": list(snapshots),
         }
         atomic_write_json(os.path.join(self.root, MANIFEST_FILE), payload)
 

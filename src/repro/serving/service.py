@@ -234,11 +234,36 @@ class PredictionService:
         self._telemetry_server = None
         self._telemetry_engine = None
         self._owns_telemetry_engine = False
+        self._closed = False
 
     # ------------------------------------------------------------------
     @property
     def persistence(self) -> Optional[PersistenceManager]:
         return self._persistence
+
+    def close(self) -> None:
+        """Shut the service down; a second call does nothing.
+
+        Stops telemetry, waits for the snapshot write in flight, flushes
+        and closes the durable log, and closes the store.  Everything is
+        closed even when the snapshot write failed; that failure is then
+        raised as :class:`~repro.serving.persistence.SnapshotWriteError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.stop_telemetry()
+        try:
+            if self._persistence is not None:
+                self._persistence.close()
+        finally:
+            self.store.close()
+
+    def __enter__(self) -> "PredictionService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     @property

@@ -31,6 +31,7 @@ watermark until enough of the stream has arrived.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, Iterable, Optional, Sequence, Union
 
@@ -48,6 +49,21 @@ from repro.models.context import (
 from repro.streams.ctdg import CTDG
 from repro.streams.replay import endpoint_shard, iter_interleave, plan_update_blocks
 from repro.tasks.base import QuerySet
+
+
+def _reject_times(times: np.ndarray) -> None:
+    """Raise for the first row of a batch that breaks the time contract."""
+    finite = np.isfinite(times)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(
+            f"edge time at row {row} is {float(times[row])}; times must be finite"
+        )
+    row = 1 + int(np.argmax(np.diff(times) < 0))
+    raise ValueError(
+        f"edge times must be non-decreasing within a batch: row {row} "
+        f"(t={float(times[row])}) follows t={float(times[row - 1])}"
+    )
 
 
 class IncrementalContextStore:
@@ -246,8 +262,10 @@ class IncrementalContextStore:
     ) -> int:
         """Column-array variant of :meth:`ingest` (views are fine).
 
-        Edges must continue the stream: times non-decreasing within the
-        batch and not before the newest edge already ingested.  A batch
+        Edges must continue the stream: times finite, non-decreasing within
+        the batch and not before the newest edge already ingested; a batch
+        that breaks this raises ``ValueError`` naming the first bad row,
+        before the store, journal or drift monitor changes.  A batch
         boundary may land anywhere — including between edges sharing one
         timestamp — without affecting the materialised contexts.
         """
@@ -257,8 +275,14 @@ class IncrementalContextStore:
         count = len(times)
         if not (len(src) == len(dst) == count):
             raise ValueError("src, dst, times must have equal length")
-        if count and np.any(np.diff(times) < 0):
-            raise ValueError("edge times must be non-decreasing within a batch")
+        # With finite ends, a NaN or infinite time inside the batch makes a
+        # NaN or negative step, so these checks cover every row.
+        if count and not (
+            math.isfinite(times[0])
+            and math.isfinite(times[-1])
+            and (np.diff(times) >= 0).all()
+        ):
+            _reject_times(times)
         if features is None:
             if self.edge_feature_dim:
                 raise ValueError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,14 @@ from repro.tasks.base import QuerySet
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def closing():
+    """An ``ExitStack`` unwound after the test, pass or fail: register what
+    a test opens (``closing.enter_context(service)``) to have it closed."""
+    with contextlib.ExitStack() as stack:
+        yield stack
 
 
 def random_tied_stream(

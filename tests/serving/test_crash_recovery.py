@@ -9,9 +9,11 @@ wrong state is the one outcome none of these drills may produce.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -27,10 +29,12 @@ from repro.serving import (
     SegmentWriter,
     ServingConfig,
     SnapshotCorruption,
+    SnapshotWriteError,
     load_artifact,
     load_snapshot,
 )
-from repro.serving.persistence import SEGMENTS_DIR, SNAPSHOTS_DIR
+from repro.serving.persistence import MANIFEST_FILE, SEGMENTS_DIR, SNAPSHOTS_DIR
+from repro.serving.store import IncrementalContextStore
 
 from tests.conftest import assert_bundles_identical, random_tied_stream
 
@@ -154,17 +158,19 @@ class TestSnapshotCrashes:
     def _latest_snapshot_dir(self, persist, manager):
         return os.path.join(persist, manager.snapshots[-1])
 
-    def test_torn_snapshot_detected(self, fitted, dataset, tmp_path):
+    def test_torn_snapshot_detected(self, fitted, dataset, tmp_path, closing):
         persist = str(tmp_path / "persist")
-        service = persisted_service(fitted, dataset, persist)
+        service = closing.enter_context(persisted_service(fitted, dataset, persist))
         snap_dir = self._latest_snapshot_dir(persist, service.persistence)
         os.unlink(os.path.join(snap_dir, "snapshot.json"))
         with pytest.raises(SnapshotCorruption, match="torn or incomplete"):
             load_snapshot(snap_dir)
 
-    def test_resume_falls_back_past_torn_snapshot(self, fitted, dataset, tmp_path):
+    def test_resume_falls_back_past_torn_snapshot(
+        self, fitted, dataset, tmp_path, closing
+    ):
         persist = str(tmp_path / "persist")
-        service = persisted_service(fitted, dataset, persist)
+        service = closing.enter_context(persisted_service(fitted, dataset, persist))
         nodes = np.arange(64, dtype=np.int64) % dataset.ctdg.num_nodes
         times = np.full(64, float(dataset.ctdg.times[-1]) + 1.0)
         expected = service.store.materialise(nodes, times)
@@ -172,35 +178,36 @@ class TestSnapshotCrashes:
         # Tear the newest snapshot three different ways across three
         # resumes: missing index, truncated array file, flipped bit.
         snap_dir = self._latest_snapshot_dir(persist, service.persistence)
-        array_file = os.path.join(
-            snap_dir,
-            json.load(open(os.path.join(snap_dir, "snapshot.json")))["arrays"][
-                "degrees::nodes"
-            ]["file"],
-        )
+        with open(os.path.join(snap_dir, "snapshot.json")) as handle:
+            index = json.load(handle)
+        array_file = os.path.join(snap_dir, index["arrays"]["degrees::nodes"]["file"])
         with open(array_file, "r+b") as handle:
             handle.seek(-1, os.SEEK_END)
             byte = handle.read(1)
             handle.seek(-1, os.SEEK_END)
             handle.write(bytes([byte[0] ^ 0xFF]))
-        resumed = PredictionService.resume(persist, task=dataset.task)
-        assert resumed.store.edges_ingested == dataset.ctdg.num_edges
-        assert_bundles_identical(expected, resumed.store.materialise(nodes, times))
+        with PredictionService.resume(persist, task=dataset.task) as resumed:
+            assert resumed.store.edges_ingested == dataset.ctdg.num_edges
+            assert_bundles_identical(expected, resumed.store.materialise(nodes, times))
 
         with open(array_file, "r+b") as handle:
             handle.truncate(10)
-        resumed = PredictionService.resume(persist, task=dataset.task)
-        assert_bundles_identical(expected, resumed.store.materialise(nodes, times))
+        with PredictionService.resume(persist, task=dataset.task) as resumed:
+            assert_bundles_identical(expected, resumed.store.materialise(nodes, times))
 
         os.unlink(os.path.join(snap_dir, "snapshot.json"))
-        resumed = PredictionService.resume(persist, task=dataset.task)
-        assert_bundles_identical(expected, resumed.store.materialise(nodes, times))
+        with PredictionService.resume(persist, task=dataset.task) as resumed:
+            assert_bundles_identical(expected, resumed.store.materialise(nodes, times))
 
-    def test_resume_survives_all_snapshots_lost(self, fitted, dataset, tmp_path):
+    def test_resume_survives_all_snapshots_lost(
+        self, fitted, dataset, tmp_path, closing
+    ):
         persist = str(tmp_path / "persist")
-        service = persisted_service(fitted, dataset, persist)
+        service = closing.enter_context(persisted_service(fitted, dataset, persist))
         shutil.rmtree(os.path.join(persist, SNAPSHOTS_DIR))
-        resumed = PredictionService.resume(persist, task=dataset.task)
+        resumed = closing.enter_context(
+            PredictionService.resume(persist, task=dataset.task)
+        )
         assert resumed.store.edges_ingested == dataset.ctdg.num_edges
         nodes = np.arange(64, dtype=np.int64) % dataset.ctdg.num_nodes
         times = np.full(64, float(dataset.ctdg.times[-1]) + 1.0)
@@ -213,7 +220,7 @@ class TestSnapshotCrashes:
         persist = str(tmp_path / "persist")
         # 900 edges at cadence 400 → last snapshot at offset 800, so the
         # resume must replay (and therefore checksum) the 100-edge tail.
-        persisted_service(fitted, dataset, persist, snapshot_every=400)
+        persisted_service(fitted, dataset, persist, snapshot_every=400).close()
         seg_dir = os.path.join(persist, SEGMENTS_DIR)
         seg = sorted(n for n in os.listdir(seg_dir) if n.endswith(".seg"))[-1]
         path = os.path.join(seg_dir, seg)
@@ -226,6 +233,122 @@ class TestSnapshotCrashes:
         # serve state derived from it.
         with pytest.raises(SegmentCorruption, match="checksum"):
             PredictionService.resume(persist, task=dataset.task)
+
+
+# ======================================================================
+# Snapshot writer faults (the background writer thread)
+# ======================================================================
+def _on_writer(fail, real):
+    """Wrap an ``os`` call to run ``fail`` first, on the writer thread only."""
+
+    def call(*args, **kwargs):
+        if threading.current_thread().name == "snapshot-writer":
+            fail(*args)
+        return real(*args, **kwargs)
+
+    return call
+
+
+def _fsync_fails_mid_snapshot(monkeypatch):
+    calls = []
+
+    def fail(fd):
+        calls.append(fd)
+        if len(calls) == 3:  # the third array file of the snapshot
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", _on_writer(fail, os.fsync))
+
+
+def _manifest_replace_fails(monkeypatch):
+    def fail(src, dst):
+        if os.path.basename(dst) == MANIFEST_FILE:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "replace", _on_writer(fail, os.replace))
+
+
+def _join_writer_threads():
+    for thread in threading.enumerate():
+        if thread.name == "snapshot-writer":
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+
+class TestSnapshotWriterFaults:
+    @pytest.mark.parametrize(
+        "inject, cause",
+        [
+            (_fsync_fails_mid_snapshot, errno.ENOSPC),
+            (_manifest_replace_fails, errno.EIO),
+        ],
+        ids=["fsync-enospc-mid-snapshot", "replace-eio-mid-manifest"],
+    )
+    def test_writer_failure_is_raised_and_never_named(
+        self, fitted, dataset, tmp_path, monkeypatch, inject, cause
+    ):
+        persist = str(tmp_path / "persist")
+        g = dataset.ctdg
+        # The snapshot at 300 lands; the one cut at 600 fails on the writer.
+        service = persisted_service(fitted, dataset, persist, stop=300)
+        inject(monkeypatch)
+
+        def ingest(lo, hi):
+            service._ingest_arrays(
+                g.src[lo:hi],
+                g.dst[lo:hi],
+                g.times[lo:hi],
+                g.edge_features[lo:hi] if g.edge_features is not None else None,
+                g.weights[lo:hi],
+            )
+
+        for lo in range(300, 600, 100):
+            ingest(lo, lo + 100)
+        _join_writer_threads()
+
+        for surface in (
+            lambda: ingest(600, 700),
+            service.persistence.flush,
+            service.close,
+        ):
+            with pytest.raises(SnapshotWriteError) as raised:
+                surface()
+            assert isinstance(raised.value.__cause__, OSError)
+            assert raised.value.__cause__.errno == cause
+        service.close()  # a second close does nothing
+        # The failed write still let close() shut the log and the store.
+        assert service.persistence.log._writer._handle.closed
+        assert service.store.is_closed
+        monkeypatch.undo()
+
+        # The manifest names only the complete snapshot, and nothing else
+        # (no temp directory, no unnamed snapshot) is left on disk.
+        with open(os.path.join(persist, MANIFEST_FILE)) as handle:
+            named = json.load(handle)["snapshots"]
+        assert named == [os.path.join(SNAPSHOTS_DIR, "snap-000000000300")]
+        load_snapshot(os.path.join(persist, named[0]))
+        assert os.listdir(os.path.join(persist, SNAPSHOTS_DIR)) == [
+            "snap-000000000300"
+        ]
+
+        # The failed batch was journalled and flushed: resume holds all
+        # 700 edges, bit-equal to a cold replay of the durable log.
+        log = EventLog(os.path.join(persist, SEGMENTS_DIR), g.edge_feature_dim)
+        cold = IncrementalContextStore(
+            fitted.processes, fitted.config.k, g.num_nodes, g.edge_feature_dim
+        )
+        for block in log.read_range(0):
+            cold.ingest_arrays(*block)
+        log.close()
+        assert cold.edges_ingested == 700
+        with PredictionService.resume(persist, task=dataset.task) as resumed:
+            assert resumed.store.edges_ingested == 700
+            nodes = np.arange(g.num_nodes, dtype=np.int64)
+            times = np.full(g.num_nodes, float(g.times[699]) + 0.5)
+            assert_bundles_identical(
+                cold.materialise(nodes, times),
+                resumed.store.materialise(nodes, times),
+            )
 
 
 # ======================================================================

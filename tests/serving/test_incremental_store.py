@@ -122,6 +122,44 @@ class TestStoreApi:
         with pytest.raises(ValueError, match="non-decreasing"):
             store.ingest_arrays(src, src, np.array([5.0, 1.0]))
 
+    def test_nan_time_does_not_switch_off_the_order_check(self):
+        # NaN compares False with everything: a NaN batch used to be
+        # accepted, and the t = 1 batch after it too (last time NaN).
+        g, _ = random_tied_stream(0)
+        store = self.make_store(g)
+        journal, observed = [], []
+        store.attach_journal(lambda *columns: journal.append(columns))
+        store.attach_monitor(
+            type("Monitor", (), {"observe_edges": lambda *a: observed.append(a)})()
+        )
+        one = np.array([0], dtype=np.int64)
+        store.ingest_arrays(one, one, np.array([5.0]))
+        with pytest.raises(ValueError, match="row 0 is nan"):
+            store.ingest_arrays(one, one, np.array([np.nan]))
+        with pytest.raises(ValueError, match="out-of-order"):
+            store.ingest_arrays(one, one, np.array([1.0]))
+        assert store.edges_ingested == 1 and store.last_time == 5.0
+        assert len(journal) == len(observed) == 1
+
+    @pytest.mark.parametrize(
+        "times, row",
+        [
+            ([6.0, np.nan, 7.0], 1),
+            ([6.0, 7.0, np.nan], 2),
+            ([6.0, 7.0, np.inf], 2),
+            ([-np.inf, 6.0], 0),
+            ([np.inf, np.inf], 0),
+            ([6.0, np.nan, 5.0], 1),
+        ],
+    )
+    def test_ingest_rejects_non_finite_times_by_row(self, times, row):
+        g, _ = random_tied_stream(0)
+        store = self.make_store(g)
+        src = np.zeros(len(times), dtype=np.int64)
+        with pytest.raises(ValueError, match=f"row {row} is .*finite"):
+            store.ingest_arrays(src, src, np.array(times))
+        assert store.edges_ingested == 0 and store.last_time == -np.inf
+
     def test_close_stops_ingestion(self):
         g, _ = random_tied_stream(0)
         store = self.make_store(g)

@@ -8,7 +8,11 @@ and tail replay are an implementation detail the outputs must not betray.
 
 from __future__ import annotations
 
+import json
 import os
+import sys
+import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -29,8 +33,10 @@ from repro.serving import (
 from repro.serving.persistence import (
     DEFAULT_SNAPSHOT_EVERY,
     MANIFEST_FILE,
+    SNAPSHOT_FORMAT,
     PersistenceManager,
     SNAPSHOTS_DIR,
+    atomic_write_json,
 )
 from repro.serving.store import IncrementalContextStore
 from repro.streams.ctdg import CTDG
@@ -137,6 +143,7 @@ class TestSegmentLog:
         assert writer.count == 200
         assert writer.durable_count == 50
         assert SegmentReader(str(tmp_path), 0, verify=True).count == 50
+        writer.close()
 
     def test_log_rolls_segments_and_reads_back(self, tmp_path):
         src, dst, times, features, weights = _stream_columns()
@@ -192,8 +199,10 @@ class TestSegmentLog:
         log.flush()
         # verify=True recomputes every CRC: the chain written across two
         # writer lifetimes must validate end to end.
-        blocks = list(EventLog(str(tmp_path), 3, verify=True).read_range(0, 200))
+        reader = EventLog(str(tmp_path), 3, verify=True)
+        blocks = list(reader.read_range(0, 200))
         np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), src)
+        reader.close()
         log.close()
 
 
@@ -230,6 +239,68 @@ class TestSnapshots:
         assert first != second
         for name in (first, second):
             load_snapshot(os.path.join(str(tmp_path), name))
+
+    @staticmethod
+    def _read_back_snapshot(directory, arrays, scalars):
+        """The reference writer: ``np.save`` each array, then read the file
+        back for its CRC-32 (what ``write_snapshot`` did before taking the
+        CRC from memory)."""
+        os.makedirs(directory)
+        index = {}
+        for position, key in enumerate(sorted(arrays)):
+            file_name = f"a{position:05d}.npy"
+            path = os.path.join(directory, file_name)
+            np.save(path, np.ascontiguousarray(arrays[key]))
+            with open(path, "rb") as handle:
+                payload = handle.read()
+            index[key] = {
+                "file": file_name,
+                "bytes": len(payload),
+                "crc32": zlib.crc32(payload),
+            }
+        atomic_write_json(
+            os.path.join(directory, "snapshot.json"),
+            {
+                "format": SNAPSHOT_FORMAT,
+                "version": 1,
+                "scalars": dict(scalars),
+                "arrays": index,
+            },
+        )
+
+    def test_bytes_equal_the_read_back_writer(self, tmp_path):
+        # A live store's cut plus the array shapes np.save special-cases:
+        # every file, and the index with its CRCs, must be byte-identical
+        # to what np.save and a CRC of the file read back produce.
+        g, _ = random_tied_stream(11, num_nodes=30, num_edges=400, d_e=2)
+        store = IncrementalContextStore(
+            fitted_context_processes(g, dim=6, seed=4), 5, g.num_nodes, 2
+        )
+        store.ingest(g.slice(0, 250))
+        arrays, scalars = store.export_runtime_state()
+        rng = np.random.default_rng(0)
+        arrays.update(
+            {
+                "odd::bool": rng.random(17) > 0.5,
+                "odd::empty": np.zeros((0, 4)),
+                "odd::empty_int": np.zeros(0, dtype=np.int64),
+                "odd::float32": rng.normal(size=(3, 4, 5)).astype(np.float32),
+                "odd::strided": np.arange(24, dtype=np.int32)[::3],
+                "odd::transposed": rng.normal(size=(6, 9)).T,
+            }
+        )
+        scalars["offset"] = scalars["edges_ingested"]
+        name = write_snapshot(str(tmp_path / "written"), arrays, scalars)
+        written = os.path.join(str(tmp_path / "written"), name)
+        reference = str(tmp_path / "reference")
+        self._read_back_snapshot(reference, arrays, scalars)
+
+        assert sorted(os.listdir(written)) == sorted(os.listdir(reference))
+        for file_name in os.listdir(reference):
+            with open(os.path.join(written, file_name), "rb") as handle:
+                got = handle.read()
+            with open(os.path.join(reference, file_name), "rb") as handle:
+                assert got == handle.read(), file_name
 
 
 # ======================================================================
@@ -383,19 +454,21 @@ class TestStoreRuntimeState:
 # Manager + service: warm restart end to end
 # ======================================================================
 class TestWarmRestart:
-    def test_resume_equals_live_bit_for_bit(self, fitted, dataset, tmp_path):
+    def test_resume_equals_live_bit_for_bit(self, fitted, dataset, tmp_path, closing):
         persist = str(tmp_path / "persist")
         service = make_service(
             fitted,
             dataset,
             config=ServingConfig(persist_path=persist, snapshot_every=300),
         )
+        closing.enter_context(service)
         ingest_stream(service, dataset.ctdg)
         service.persistence.flush()
         nodes, times = probe_queries(dataset.ctdg)
         expected = service.store.materialise(nodes, times)
 
         resumed = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(resumed)
         assert resumed.store.edges_ingested == dataset.ctdg.num_edges
         assert_bundles_identical(
             expected, resumed.store.materialise(nodes, times)
@@ -404,17 +477,21 @@ class TestWarmRestart:
             service.predict(nodes, times), resumed.predict(nodes, times)
         )
 
-    def test_resume_without_snapshot_cold_replays(self, fitted, dataset, tmp_path):
+    def test_resume_without_snapshot_cold_replays(
+        self, fitted, dataset, tmp_path, closing
+    ):
         persist = str(tmp_path / "persist")
         service = make_service(
             fitted, dataset, config=ServingConfig(persist_path=persist)
         )
+        closing.enter_context(service)
         assert service.persistence.snapshot_every == DEFAULT_SNAPSHOT_EVERY
         ingest_stream(service, dataset.ctdg, stop=500)
         service.persistence.flush()
         assert service.persistence.snapshots == []  # never hit the cadence
 
         resumed = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(resumed)
         assert resumed.store.edges_ingested == 500
         nodes, times = probe_queries(dataset.ctdg)
         assert_bundles_identical(
@@ -423,7 +500,7 @@ class TestWarmRestart:
         )
 
     def test_unflushed_tail_resumes_at_durable_watermark(
-        self, fitted, dataset, tmp_path
+        self, fitted, dataset, tmp_path, closing
     ):
         # A crash loses the un-fsynced suffix; resume must come back at
         # the durable watermark (honest loss), not a torn in-between.
@@ -433,6 +510,7 @@ class TestWarmRestart:
             dataset,
             config=ServingConfig(persist_path=persist, snapshot_every=10_000),
         )
+        closing.enter_context(service)
         ingest_stream(service, dataset.ctdg, stop=400)
         service.persistence.flush()
         durable = service.persistence.durable_events
@@ -443,6 +521,7 @@ class TestWarmRestart:
         assert service.persistence.durable_events == durable == 400
 
         resumed = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(resumed)
         assert resumed.store.edges_ingested == 400
 
         reference = make_service(fitted, dataset)
@@ -454,7 +533,9 @@ class TestWarmRestart:
             resumed.store.materialise(nodes, times),
         )
 
-    def test_resumed_service_continues_the_stream(self, fitted, dataset, tmp_path):
+    def test_resumed_service_continues_the_stream(
+        self, fitted, dataset, tmp_path, closing
+    ):
         persist = str(tmp_path / "persist")
         service = make_service(
             fitted,
@@ -462,9 +543,10 @@ class TestWarmRestart:
             config=ServingConfig(persist_path=persist, snapshot_every=200),
         )
         ingest_stream(service, dataset.ctdg, stop=450)
-        service.persistence.flush()
+        service.close()
 
         resumed = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(resumed)
         ingest_stream(resumed, dataset.ctdg, stop=None)
         # Restored mid-stream + live suffix == one uninterrupted replay.
         reference = make_service(fitted, dataset)
@@ -476,17 +558,18 @@ class TestWarmRestart:
         )
         # ...and the continuation was journalled: a second restart lands
         # at the full stream.
-        resumed.persistence.flush()
+        resumed.close()
         second = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(second)
         assert second.store.edges_ingested == dataset.ctdg.num_edges
 
     def test_ingest_during_snapshot_write_does_not_tear_the_cut(
-        self, fitted, dataset, tmp_path, monkeypatch
+        self, fitted, dataset, tmp_path, monkeypatch, closing
     ):
-        # The snapshot's arrays are written after the store lock is
-        # released, so another thread may ingest meanwhile.  The cut must
-        # stay the state at its own edges_ingested: resume replays the
-        # concurrent batch from the log, and a cut holding live tables
+        # The snapshot's arrays are written on the writer thread after the
+        # store lock is released, so the service may ingest meanwhile.  The
+        # cut must stay the state at its own edges_ingested: resume replays
+        # the concurrent batch from the log, and a cut holding live tables
         # would apply it twice.
         import repro.serving.persistence as persistence
 
@@ -496,6 +579,7 @@ class TestWarmRestart:
             dataset,
             config=ServingConfig(persist_path=persist, snapshot_every=10**6),
         )
+        closing.enter_context(service)
         cut = 600
         ingest_stream(service, dataset.ctdg, stop=cut)
         write_snapshot = persistence.write_snapshot
@@ -505,11 +589,16 @@ class TestWarmRestart:
             return write_snapshot(root, arrays, scalars)
 
         monkeypatch.setattr(persistence, "write_snapshot", write_while_ingesting)
-        service.persistence.snapshot()
-        monkeypatch.undo()
+        path = service.persistence.snapshot()
+        # The patched write runs on the writer thread: land it before the
+        # patch is undone, or the concurrent ingest may never happen.
         service.persistence.flush()
+        monkeypatch.undo()
+        assert service.store.edges_ingested == dataset.ctdg.num_edges
+        assert load_snapshot(path)[1]["edges_ingested"] == cut
 
         resumed = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(resumed)
         assert resumed.store.edges_ingested == dataset.ctdg.num_edges
         reference = make_service(fitted, dataset)
         ingest_stream(reference, dataset.ctdg)
@@ -519,13 +608,14 @@ class TestWarmRestart:
             resumed.store.materialise(nodes, times),
         )
 
-    def test_snapshot_gc_keeps_last_two(self, fitted, dataset, tmp_path):
+    def test_snapshot_gc_keeps_last_two(self, fitted, dataset, tmp_path, closing):
         persist = str(tmp_path / "persist")
         service = make_service(
             fitted,
             dataset,
             config=ServingConfig(persist_path=persist, snapshot_every=100),
         )
+        closing.enter_context(service)
         ingest_stream(service, dataset.ctdg)
         assert len(service.persistence.snapshots) == 2
         on_disk = [
@@ -536,12 +626,13 @@ class TestWarmRestart:
         assert len(on_disk) == 2
 
     def test_create_rejects_used_store_and_existing_root(
-        self, fitted, dataset, tmp_path
+        self, fitted, dataset, tmp_path, closing
     ):
         persist = str(tmp_path / "persist")
         service = make_service(
             fitted, dataset, config=ServingConfig(persist_path=persist)
         )
+        closing.enter_context(service)
         ingest_stream(service, dataset.ctdg, stop=100)
         with pytest.raises(FileExistsError):
             PersistenceManager.create(persist, fitted, service.store)
@@ -550,7 +641,7 @@ class TestWarmRestart:
                 str(tmp_path / "other"), fitted, service.store
             )
 
-    def test_manifest_binds_provenance(self, fitted, dataset, tmp_path):
+    def test_manifest_binds_provenance(self, fitted, dataset, tmp_path, closing):
         import json
 
         persist = str(tmp_path / "persist")
@@ -559,6 +650,7 @@ class TestWarmRestart:
             dataset,
             config=ServingConfig(persist_path=persist, snapshot_every=300),
         )
+        closing.enter_context(service)
         ingest_stream(service, dataset.ctdg)
         service.persistence.flush()
         with open(os.path.join(persist, MANIFEST_FILE)) as handle:
@@ -572,11 +664,117 @@ class TestWarmRestart:
 
 
 # ======================================================================
+# The background snapshot writer
+# ======================================================================
+class TestSnapshotWriter:
+    def _cadence_run(self, fitted, dataset, persist, monkeypatch, block):
+        """Ingest the stream at cadence 200; with ``block``, hold the first
+        write until after the caller has ingested and predicted past it."""
+        import repro.serving.persistence as persistence
+
+        write_snapshot = persistence.write_snapshot
+        cuts, in_flight, most_in_flight = [], [0], [0]
+        entered, release = threading.Event(), threading.Event()
+
+        def held_write(root, arrays, scalars):
+            in_flight[0] += 1
+            most_in_flight[0] = max(most_in_flight[0], in_flight[0])
+            cuts.append(scalars["edges_ingested"])
+            if block and len(cuts) == 1:
+                entered.set()
+                assert release.wait(timeout=30), "the write was never released"
+            try:
+                return write_snapshot(root, arrays, scalars)
+            finally:
+                in_flight[0] -= 1
+
+        monkeypatch.setattr(persistence, "write_snapshot", held_write)
+        with make_service(
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=200),
+        ) as service:
+            ingest_stream(service, dataset.ctdg, stop=200)
+            if block:
+                assert entered.wait(timeout=30)
+                ingest_stream(service, dataset.ctdg, stop=300)
+                service.predict(*probe_queries(dataset.ctdg))
+                # Both went ahead while the first write was still held.
+                assert cuts == [200] and not release.is_set()
+                assert service.store.edges_ingested == 300
+                # The cut due at 400 must wait for the held write.
+                threading.Timer(0.2, release.set).start()
+            ingest_stream(service, dataset.ctdg)
+            service.persistence.flush()
+            snapshots = service.persistence.snapshots
+        monkeypatch.undo()
+        return cuts, most_in_flight[0], snapshots
+
+    def test_due_cut_waits_for_the_write_in_flight(
+        self, fitted, dataset, tmp_path, monkeypatch
+    ):
+        free = self._cadence_run(
+            fitted, dataset, str(tmp_path / "free"), monkeypatch, block=False
+        )
+        held = self._cadence_run(
+            fitted, dataset, str(tmp_path / "held"), monkeypatch, block=True
+        )
+        # Cut positions are a function of the ingested edge count alone:
+        # the held write delays the next cut, never moves or skips it.
+        assert free[0] == held[0] == [200, 400, 600, 800]
+        assert free[1] == held[1] == 1  # at most one write in flight
+        assert free[2] == held[2]
+
+    def test_flushes_racing_the_writer_keep_the_manifest_whole(
+        self, fitted, dataset, tmp_path, closing
+    ):
+        # A second thread lands writes (flush, snapshots) while the service
+        # cuts every 50 edges, with thread switches forced often.
+        persist = str(tmp_path / "persist")
+        service = make_service(
+            fitted,
+            dataset,
+            config=ServingConfig(persist_path=persist, snapshot_every=50),
+        )
+        closing.enter_context(service)
+        stop, seen = threading.Event(), []
+
+        def flusher():
+            while not stop.is_set():
+                service.persistence.flush()
+                seen.append(len(service.persistence.snapshots))
+
+        thread = threading.Thread(target=flusher)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            ingest_stream(service, dataset.ctdg, batch=7)
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and seen
+        service.persistence.flush()
+        snapshots = service.persistence.snapshots
+        with open(os.path.join(persist, MANIFEST_FILE)) as handle:
+            assert json.load(handle)["snapshots"] == snapshots
+        on_disk = sorted(os.listdir(os.path.join(persist, SNAPSHOTS_DIR)))
+        assert on_disk == sorted(os.path.basename(rel) for rel in snapshots)
+        with PredictionService.resume(persist, task=dataset.task) as resumed:
+            nodes, times = probe_queries(dataset.ctdg)
+            assert_bundles_identical(
+                service.store.materialise(nodes, times),
+                resumed.store.materialise(nodes, times),
+            )
+
+
+# ======================================================================
 # Adaptation re-bind: checkpoints follow hot swaps
 # ======================================================================
 class TestRebind:
     def test_rebind_then_resume_serves_the_promoted_pair(
-        self, fitted, dataset, tmp_path
+        self, fitted, dataset, tmp_path, closing
     ):
         persist = str(tmp_path / "persist")
         service = make_service(
@@ -584,6 +782,7 @@ class TestRebind:
             dataset,
             config=ServingConfig(persist_path=persist, snapshot_every=250),
         )
+        closing.enter_context(service)
         ingest_stream(service, dataset.ctdg)
         service.persistence.flush()
 
@@ -600,8 +799,10 @@ class TestRebind:
 
         assert service.persistence.base_offset == g.num_edges - window
         assert os.path.isdir(os.path.join(persist, "artifact-0002"))
+        service.persistence.flush()
 
         resumed = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(resumed)
         assert resumed.store.edges_ingested == window
         nodes, times = probe_queries(g)
         assert_bundles_identical(
@@ -609,7 +810,7 @@ class TestRebind:
             resumed.store.materialise(nodes, times),
         )
 
-    def test_adaptive_service_checkpoints_through_manifest(self, tmp_path):
+    def test_adaptive_service_checkpoints_through_manifest(self, tmp_path, closing):
         from repro.adapt import AdaptationConfig, AdaptiveService
         from repro.datasets import scheduled_shift_stream
 
@@ -643,6 +844,7 @@ class TestRebind:
             persist_path=persist,
             snapshot_every=500,
         )
+        closing.enter_context(adaptive.service)
         adaptive.serve_labeled_stream(
             dataset.ctdg,
             dataset.queries.nodes,
@@ -657,6 +859,7 @@ class TestRebind:
         manager.flush()
 
         resumed = PredictionService.resume(persist, task=dataset.task)
+        closing.enter_context(resumed)
         live_store = adaptive.service.store
         assert resumed.store.edges_ingested == live_store.edges_ingested
         assert resumed.model.feature_name == adaptive.splash.model.feature_name

@@ -201,11 +201,9 @@ class TestServiceConstructorContracts:
         nodes = np.arange(g.num_nodes)
         at = float(g.times[299])
         expected = service.predict(nodes, at)
-        service.persistence.flush()
-        service.persistence.close()
-        service.store.close()
-        resumed = PredictionService.resume(
+        service.close()
+        with PredictionService.resume(
             root, config=ServingConfig(snapshot_every=100), task=dataset.task
-        )
-        assert resumed.store.edges_ingested == 300
-        assert np.array_equal(resumed.predict(nodes, at), expected)
+        ) as resumed:
+            assert resumed.store.edges_ingested == 300
+            assert np.array_equal(resumed.predict(nodes, at), expected)
