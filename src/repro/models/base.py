@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.nn.layers import Module
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, get_default_dtype, no_grad
 from repro.streams.batching import minibatch_indices
 from repro.tasks.base import Task
 from repro.models.context import ContextBundle
@@ -190,43 +190,56 @@ class ContextModel(StreamModel):
             self.decoder = self.build_decoder(task.output_dim)
         return self
 
+    # -- inference ----------------------------------------------------
+    # The predict methods score in chunks of ``batch_size`` through two
+    # per-chunk hooks.  By default they run the Tensor forward under
+    # ``no_grad``; SLIM overrides them with an ndarray forward that returns
+    # the same bits without building a graph or touching grad mode.
+    def infer_queries(self, bundle: ContextBundle, idx: np.ndarray) -> np.ndarray:
+        """Eval-mode decoder outputs for one chunk of queries."""
+        with no_grad():
+            return self.forward_queries(bundle, idx).data
+
+    def infer_representations(
+        self, bundle: ContextBundle, idx: np.ndarray
+    ) -> np.ndarray:
+        """Eval-mode representations for one chunk of queries."""
+        with no_grad():
+            return self.encode(bundle, idx).data
+
+    def _infer_chunks(self, infer, bundle, idx, width: int) -> np.ndarray:
+        """Run ``infer`` per chunk in eval mode; ``width`` sizes zero rows."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self.training:
+            self.eval()
+        size = self.config.batch_size
+        outputs = [
+            infer(bundle, idx[start : start + size])
+            for start in range(0, len(idx), size)
+        ]
+        if not outputs:
+            return np.zeros((0, width), dtype=get_default_dtype())
+        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs, axis=0)
+
     def predict_scores(self, bundle: ContextBundle, idx: np.ndarray) -> np.ndarray:
         if self._task is None:
             raise RuntimeError("predict_scores called before fit")
-        idx = np.asarray(idx, dtype=np.int64)
-        self.eval()
-        outputs = []
-        with no_grad():
-            for start in range(0, len(idx), self.config.batch_size):
-                chunk = idx[start : start + self.config.batch_size]
-                logits = self.forward_queries(bundle, chunk)
-                outputs.append(logits.data)
-        logits_all = (
-            np.concatenate(outputs, axis=0) if outputs else np.zeros((0, 1))
+        logits = self._infer_chunks(
+            self.infer_queries, bundle, idx, self.decoder.dims[-1]
         )
-        return self._task.scores(logits_all)
+        return self._task.scores(logits)
 
     def predict_logits(self, bundle: ContextBundle, idx: np.ndarray) -> np.ndarray:
-        """Raw decoder outputs (used by qualitative analyses)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        self.eval()
-        outputs = []
-        with no_grad():
-            for start in range(0, len(idx), self.config.batch_size):
-                chunk = idx[start : start + self.config.batch_size]
-                outputs.append(self.forward_queries(bundle, chunk).data)
-        return np.concatenate(outputs, axis=0)
+        """Raw decoder outputs, one row per query."""
+        return self._infer_chunks(
+            self.infer_queries, bundle, idx, self.decoder.dims[-1]
+        )
 
     def representations(self, bundle: ContextBundle, idx: np.ndarray) -> np.ndarray:
         """Dynamic node representations (used by Fig. 14's analysis)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        self.eval()
-        outputs = []
-        with no_grad():
-            for start in range(0, len(idx), self.config.batch_size):
-                chunk = idx[start : start + self.config.batch_size]
-                outputs.append(self.encode(bundle, chunk).data)
-        return np.concatenate(outputs, axis=0)
+        return self._infer_chunks(
+            self.infer_representations, bundle, idx, self.config.hidden_dim
+        )
 
 
 def evaluate_model(

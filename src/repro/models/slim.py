@@ -11,6 +11,12 @@ For a target node v_i at time t with recent temporal edges N_i(t):
 
 All inputs are constants of the materialised context, so each query costs
 O(k·(d_v+d_e+d_t)·d_h + L·d_h²), independent of graph size (paper §IV-C).
+
+Training runs :meth:`SLIM.encode` on the autodiff tape.  Scoring runs the
+same equations on plain arrays (:meth:`SLIM.infer_representations`, built
+from the layers' ``infer`` methods), which costs only that arithmetic plus
+numpy's per-op dispatch and returns the same bits
+(``tests/models/test_slim_inference.py``).
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import numpy as np
 from repro.features.time_encoding import TimeEncoder
 from repro.models.base import ContextModel, ModelConfig
 from repro.models.context import ContextBundle
-from repro.nn.layers import MLP, LayerNorm, Module
-from repro.nn.tensor import Tensor, concat
+from repro.nn.layers import MLP, LayerNorm, Module, as_default
+from repro.nn.tensor import Tensor, concat, get_default_dtype
 from repro.utils.rng import spawn_rngs
 
 
@@ -68,7 +74,8 @@ class SLIM(ContextModel):
         )
 
     # ------------------------------------------------------------------
-    def encode(self, bundle: ContextBundle, idx: np.ndarray) -> Tensor:
+    def _inputs(self, bundle: ContextBundle, idx: np.ndarray):
+        """The constants one batch reads from the context (float64)."""
         idx = np.asarray(idx, dtype=np.int64)
         neighbor_feats = bundle.get_neighbor_features(self.feature_name, idx)
         target_feats = bundle.get_target_features(self.feature_name, idx)
@@ -83,7 +90,10 @@ class SLIM(ContextModel):
         mask = bundle.mask[idx]
         counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)  # (B, 1)
         weights = (bundle.edge_weights[idx] * mask)[..., None]  # (B, k, 1)
+        return raw_messages, target_feats, counts, weights
 
+    def encode(self, bundle: ContextBundle, idx: np.ndarray) -> Tensor:
+        raw_messages, target_feats, counts, weights = self._inputs(bundle, idx)
         messages = self.message_mlp(Tensor(raw_messages)) * weights  # (Eq. 16)
         summed = messages.sum(axis=1)  # (B, d_h): Σ_l m(l), padded slots are zero
         mean_messages = summed * (1.0 / counts)
@@ -94,3 +104,26 @@ class SLIM(ContextModel):
         return self.ln_representation(intermediate) + self.ln_skip(summed) * (
             self.skip_weight
         )  # (Eq. 18)
+
+    def infer_representations(
+        self, bundle: ContextBundle, idx: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`encode`'s ops in its order on plain arrays, each result
+        cast to the default dtype as a ``Tensor`` would be."""
+        dtype = get_default_dtype()
+        raw_messages, target_feats, counts, weights = self._inputs(bundle, idx)
+        messages = as_default(
+            self.message_mlp.infer(raw_messages) * as_default(weights, dtype), dtype
+        )
+        summed = as_default(messages.sum(axis=1), dtype)
+        mean_messages = as_default(summed * as_default(1.0 / counts, dtype), dtype)
+        joined = np.concatenate(
+            [as_default(target_feats, dtype), mean_messages], axis=-1
+        )
+        intermediate = self.aggregate_mlp.infer(as_default(joined, dtype))
+        skip_weight = as_default(np.asarray(self.skip_weight), dtype)
+        skip = as_default(self.ln_skip.infer(summed) * skip_weight, dtype)
+        return as_default(self.ln_representation.infer(intermediate) + skip, dtype)
+
+    def infer_queries(self, bundle: ContextBundle, idx: np.ndarray) -> np.ndarray:
+        return self.decoder.infer(self.infer_representations(bundle, idx))

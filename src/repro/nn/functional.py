@@ -10,9 +10,29 @@ from repro.nn.backend import active_backend
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
 
 
+# Each activation's forward on a plain array.  The Tensor ops below call
+# them, and the layers' ndarray inference methods (repro.nn.layers) call
+# them directly, so both paths run the same numpy ops.
+def relu_array(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def leaky_relu_array(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
+    return np.where(x > 0, x, negative_slope * x)
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    # Numerically stable logistic: never exponentiates a large positive value.
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
+        np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))),
+    )
+
+
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    data = np.maximum(x.data, 0.0)
+    data = relu_array(x.data)
 
     def backward(grad: np.ndarray) -> None:
         out._send(x, grad * (x.data > 0))
@@ -23,7 +43,7 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     x = as_tensor(x)
-    data = np.where(x.data > 0, x.data, negative_slope * x.data)
+    data = leaky_relu_array(x.data, negative_slope)
 
     def backward(grad: np.ndarray) -> None:
         out._send(x, grad * np.where(x.data > 0, 1.0, negative_slope))
@@ -45,12 +65,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    # Numerically stable logistic: never exponentiates a large positive value.
-    data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x.data, 0, None))),
-        np.exp(np.clip(x.data, None, 0)) / (1.0 + np.exp(np.clip(x.data, None, 0))),
-    )
+    data = sigmoid_array(x.data)
 
     def backward(grad: np.ndarray) -> None:
         out._send(x, grad * data * (1.0 - data))
@@ -264,6 +279,9 @@ __all__ = [
     "leaky_relu",
     "tanh",
     "sigmoid",
+    "relu_array",
+    "leaky_relu_array",
+    "sigmoid_array",
     "exp",
     "log",
     "sqrt",

@@ -4,6 +4,13 @@ Layer forward/backward passes reduce to ``Tensor.__matmul__``, which
 dispatches GEMM through the active array backend (:mod:`repro.nn.backend`)
 — the ``blas-threaded`` backend runs the same kernels with a raised BLAS
 thread count, bit-identically.
+
+:class:`Linear`, :class:`MLP` and :class:`LayerNorm` also have an
+``infer`` method: the eval-mode forward on plain ndarrays, with no graph.
+It runs the Tensor forward's numpy ops in the same order and casts every
+result to the active default dtype, as ``Tensor.__init__`` does, so it
+returns the same bits as ``forward(Tensor(x)).data`` in eval mode
+(``tests/nn/test_inference.py`` pins this).
 """
 
 from __future__ import annotations
@@ -14,8 +21,14 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.tensor import Tensor
+from repro.nn.backend import active_backend
+from repro.nn.tensor import Tensor, get_default_dtype
 from repro.utils.rng import SeedLike, new_rng
+
+
+def as_default(data: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``data`` as ``dtype``: the cast ``Tensor.__init__`` applies."""
+    return data if data.dtype == dtype else data.astype(dtype)
 
 
 class Parameter(Tensor):
@@ -142,6 +155,15 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        dtype = get_default_dtype()
+        out = as_default(
+            active_backend().matmul(as_default(x, dtype), self.weight.data), dtype
+        )
+        if self.bias is not None:
+            out = as_default(out + self.bias.data, dtype)
+        return out
+
 
 class Dropout(Module):
     def __init__(self, p: float = 0.0, rng: SeedLike = None) -> None:
@@ -172,6 +194,29 @@ class LayerNorm(Module):
             )
         return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # F.layer_norm's ops: mean is sum times 1/n, x - m is x + (-m), and
+        # every Python scalar becomes a 0-d array of the default dtype.
+        dtype = get_default_dtype()
+        x = as_default(x, dtype)
+        if x.shape[-1] != self.dim:
+            raise ValueError(
+                f"LayerNorm expected trailing dim {self.dim}, got {x.shape}"
+            )
+        scale = as_default(np.asarray(1.0 / x.shape[-1]), dtype)
+        total = as_default(x.sum(axis=-1, keepdims=True), dtype)
+        mean = as_default(total * scale, dtype)
+        centered = as_default(x + as_default(-mean, dtype), dtype)
+        squared = as_default(centered * centered, dtype)
+        var = as_default(
+            as_default(squared.sum(axis=-1, keepdims=True), dtype) * scale, dtype
+        )
+        eps = as_default(np.asarray(self.eps), dtype)
+        shifted = as_default(var + eps, dtype)
+        normalized = as_default(centered * as_default(shifted**-0.5, dtype), dtype)
+        out = as_default(normalized * self.gamma.data, dtype)
+        return as_default(out + self.beta.data, dtype)
+
 
 class Sequential(Module):
     def __init__(self, *modules: Module) -> None:
@@ -194,12 +239,13 @@ class Sequential(Module):
         return len(self._order)
 
 
-_ACTIVATIONS: Dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": F.relu,
-    "tanh": F.tanh,
-    "sigmoid": F.sigmoid,
-    "leaky_relu": F.leaky_relu,
-    "identity": lambda x: x,
+# name -> (Tensor op, the same op on a plain array for ``infer``).
+_ACTIVATIONS: Dict[str, Tuple[Callable, Callable]] = {
+    "relu": (F.relu, F.relu_array),
+    "tanh": (F.tanh, np.tanh),
+    "sigmoid": (F.sigmoid, F.sigmoid_array),
+    "leaky_relu": (F.leaky_relu, F.leaky_relu_array),
+    "identity": (lambda x: x, lambda x: x),
 }
 
 
@@ -237,7 +283,7 @@ class MLP(Module):
         rng = new_rng(rng)
         self.dims = list(dims)
         self.activation_name = activation
-        self._activation = _ACTIVATIONS[activation]
+        self._activation, self._array_activation = _ACTIVATIONS[activation]
         self._layer_names: List[str] = []
         for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             name = f"fc{index}"
@@ -256,6 +302,15 @@ class MLP(Module):
             if index != last:
                 x = self._activation(x)
                 x = self.drop(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        dtype = get_default_dtype()
+        last = len(self._layer_names) - 1
+        for index, name in enumerate(self._layer_names):
+            x = getattr(self, name).infer(x)
+            if index != last:
+                x = as_default(self._array_activation(x), dtype)
         return x
 
 
@@ -285,4 +340,4 @@ def get_activation(name: str) -> Callable[[Tensor], Tensor]:
     """Look up an activation function by name (for config-driven models)."""
     if name not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {name!r}")
-    return _ACTIVATIONS[name]
+    return _ACTIVATIONS[name][0]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -59,7 +60,7 @@ def _reject_times(times: np.ndarray) -> None:
         raise ValueError(
             f"edge time at row {row} is {float(times[row])}; times must be finite"
         )
-    row = 1 + int(np.argmax(np.diff(times) < 0))
+    row = 1 + int(np.argmax(times[1:] < times[:-1]))
     raise ValueError(
         f"edge times must be non-decreasing within a batch: row {row} "
         f"(t={float(times[row])}) follows t={float(times[row - 1])}"
@@ -275,12 +276,13 @@ class IncrementalContextStore:
         count = len(times)
         if not (len(src) == len(dst) == count):
             raise ValueError("src, dst, times must have equal length")
-        # With finite ends, a NaN or infinite time inside the batch makes a
-        # NaN or negative step, so these checks cover every row.
+        # With finite ends, a NaN or infinite time inside the batch fails an
+        # adjacent comparison, so these checks cover every row.  Comparing
+        # (not subtracting) keeps inf - inf from warning before the raise.
         if count and not (
             math.isfinite(times[0])
             and math.isfinite(times[-1])
-            and (np.diff(times) >= 0).all()
+            and (count == 1 or (times[1:] >= times[:-1]).all())
         ):
             _reject_times(times)
         if features is None:
@@ -318,7 +320,9 @@ class IncrementalContextStore:
                         float(weights[offset]),
                     )
 
-            if self.propagation == "blocked" and count > 1:
+            # A batch shorter than _MIN_VECTOR_RUN has only runs that short,
+            # which take the per-event path anyway: skip the planning.
+            if self.propagation == "blocked" and count >= _MIN_VECTOR_RUN:
                 indices = np.arange(base, base + count, dtype=np.int64)
                 bounds = plan_update_blocks(src, dst)
                 for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -512,13 +516,19 @@ class IncrementalContextStore:
         future edges into its context, exactly as it would offline.
         """
         nodes = np.asarray(nodes, dtype=np.int64).ravel()
-        times = np.broadcast_to(
-            np.asarray(times, dtype=np.float64), nodes.shape
-        ).copy()
+        times = np.asarray(times, dtype=np.float64)
+        if times.shape != nodes.shape:
+            times = np.broadcast_to(times, nodes.shape).copy()
         queries = QuerySet(nodes, times)
         out = _QueryOutputs(len(nodes), self.k, self.edge_feature_dim, self.stores)
         self.write_queries(out, range(len(nodes)), nodes, times)
         return self.bundle_from(out, queries)
+
+    @cached_property
+    def _empty_ctdg(self) -> CTDG:
+        """The edge-free stream a materialised bundle carries, built once."""
+        empty = np.zeros(0, dtype=np.int64)
+        return CTDG(empty, empty, np.zeros(0), num_nodes=self.num_nodes)
 
     def bundle_from(
         self,
@@ -527,11 +537,8 @@ class IncrementalContextStore:
         ctdg: Optional[CTDG] = None,
     ) -> ContextBundle:
         """Wrap a filled output block as a :class:`ContextBundle`."""
-        if ctdg is None:
-            empty = np.zeros(0, dtype=np.int64)
-            ctdg = CTDG(empty, empty, np.zeros(0), num_nodes=self.num_nodes)
         return ContextBundle(
-            ctdg=ctdg,
+            ctdg=self._empty_ctdg if ctdg is None else ctdg,
             queries=queries,
             k=self.k,
             neighbor_nodes=out.neighbor_nodes,

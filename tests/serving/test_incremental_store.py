@@ -160,6 +160,29 @@ class TestStoreApi:
             store.ingest_arrays(src, src, np.array(times))
         assert store.edges_ingested == 0 and store.last_time == -np.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_equal_infinite_times_raise_before_any_warning(self):
+        # An order check that subtracts computes inf - inf = NaN, and numpy
+        # warns about it; with warnings as errors the caller would get that
+        # warning instead of the ValueError.
+        g, _ = random_tied_stream(0)
+        store = self.make_store(g)
+        src = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="row 1 is inf"):
+            store.ingest_arrays(src, src, np.array([6.0, np.inf, np.inf, 7.0]))
+        assert store.edges_ingested == 0 and store.last_time == -np.inf
+
+    @pytest.mark.parametrize(
+        "times, row", [([1.0, 3.0, 2.0, 4.0], 2), ([2.0, 2.0, 2.0, 1.0], 3)]
+    )
+    def test_ingest_names_the_first_order_breaking_row(self, times, row):
+        g, _ = random_tied_stream(0)
+        store = self.make_store(g)
+        src = np.zeros(len(times), dtype=np.int64)
+        with pytest.raises(ValueError, match=f"row {row} \\(t="):
+            store.ingest_arrays(src, src, np.array(times))
+        assert store.edges_ingested == 0
+
     def test_close_stops_ingestion(self):
         g, _ = random_tied_stream(0)
         store = self.make_store(g)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.datasets import email_eu_like
 from repro.models import ModelConfig
 from repro.models.slim import SLIM
+from repro.nn.tensor import Tensor
 from repro.pipeline import ExecutionConfig, Splash, SplashConfig
 from repro.serving import PredictionService, ServingConfig
 
@@ -202,6 +206,77 @@ class TestPredict:
     def test_micro_batch_validation(self, fitted, dataset):
         with pytest.raises(ValueError, match="micro_batch_size"):
             make_service(fitted, dataset, config=ServingConfig(micro_batch_size=0))
+
+
+class TestTapeFreeScoring:
+    """SLIM scores without building a graph or touching grad mode."""
+
+    def test_scoring_builds_no_tensors(self, fitted, dataset, monkeypatch):
+        args = (dataset.ctdg, dataset.queries.nodes, dataset.queries.times)
+        reference = make_service(fitted, dataset).serve_stream(*args)
+        sync, overlapped, direct = (make_service(fitted, dataset) for _ in range(3))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Tensor was built while scoring")
+
+        monkeypatch.setattr(Tensor, "__init__", refuse)
+        for service, background in ((sync, False), (overlapped, True)):
+            scores = service.serve_stream(*args, background=background)
+            np.testing.assert_array_equal(scores, reference)
+        direct.ingest(dataset.ctdg)
+        nodes = dataset.queries.nodes[-40:]
+        assert len(direct.predict(nodes, dataset.ctdg.end_time)) == 40
+        idx = np.arange(len(dataset.queries))
+        assert len(fitted.predict_scores(idx)) == len(idx)
+
+    def test_scoring_does_not_race_a_training_thread(self, fitted, dataset):
+        # Grad mode is process-global: scoring under no_grad() on one thread
+        # used to make training steps on another build no graph, so their
+        # parameters got no gradient.
+        split = fitted.split
+        idx = np.arange(len(dataset.queries))
+
+        def train():
+            model = SLIM(
+                fitted.model.feature_name,
+                fitted.model.feature_dim,
+                fitted.model.edge_feature_dim,
+                ModelConfig(hidden_dim=16, epochs=3, batch_size=32, seed=3),
+            )
+            model.fit(fitted.bundle, dataset.task, split.train_idx, split.val_idx)
+            return model.state_dict()
+
+        alone = train()
+        stop = threading.Event()
+        errors = []
+
+        def score():
+            try:
+                while not stop.is_set():
+                    fitted.model.predict_scores(fitted.bundle, idx)
+            except Exception as error:  # reported on the main thread
+                errors.append(error)
+
+        # Two scorers and the trainer: more threads than a 2-core machine has.
+        scorers = [
+            threading.Thread(target=score, name=f"scorer-{i}", daemon=True)
+            for i in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for scorer in scorers:
+                scorer.start()
+            raced = train()
+        finally:
+            stop.set()
+            for scorer in scorers:
+                scorer.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(scorer.is_alive() for scorer in scorers) and not errors
+        assert sorted(raced) == sorted(alone)
+        for name, weights in alone.items():
+            assert raced[name].tobytes() == weights.tobytes(), name
 
 
 class TestHotSwap:
